@@ -217,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=_default_digits())
     p.add_argument("--nmax", type=int, default=400)
     p.add_argument("--kmax", type=int, default=20)
-    p.add_argument("--method", choices=("fit", "analytic"), default="fit",
-                   help="recorded in reports; constants with closed forms "
-                        "are always analytic")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_asympt)
 

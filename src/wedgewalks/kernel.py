@@ -58,31 +58,6 @@ class KernelCoeffs(NamedTuple):
     upper: TSeries         # Z, multiplies f(t*b, b)
 
 
-@dataclass(frozen=True)
-class KernelSystem:
-    """A model/slope pair with its coefficient evaluators bound."""
-
-    model: str
-    p: int = 1
-
-    def __post_init__(self):
-        if self.model not in ("symmetric", "asymmetric"):
-            raise ValueError(f"no kernel system for model {self.model!r}")
-        if self.p < 1:
-            raise ValueError("slope p must be a positive integer")
-
-    def coeffs(self, a: Arg, b: Arg, order: int) -> "KernelCoeffs":
-        return kernel_coeffs(self.model, self.p, a, b, order)
-
-    def kernel(self, a: Arg, b: Arg, order: int) -> TSeries:
-        return self.coeffs(a, b, order).kernel
-
-    def root(self, which: str, arg: Arg, order: int) -> TSeries:
-        if self.p != 1:
-            raise ValueError("closed-form roots exist for p = 1 only")
-        return root(self.model, which, arg, order)
-
-
 def kernel_coeffs(kind: str, p: int, a: Arg, b: Arg, order: int) -> KernelCoeffs:
     """The quadruple (K, X, Y, Z) for either model and any integer p >= 1."""
     t = tvar(order)
@@ -123,21 +98,6 @@ def _quad_sym(a: TSeries, t: TSeries) -> tuple[TSeries, TSeries, TSeries]:
     qb = (1 + t * t) * a
     qc = -t * a2
     return qa, qb, qc
-
-
-def _quad_asym(a: TSeries, t: TSeries) -> tuple[TSeries, TSeries, TSeries]:
-    """Asymmetric p=1 kernel as A*b^2 + B*b + C."""
-    one = 1 + t * t
-    qa = -t
-    qb = a * (one - t * a * (1 - t * t))
-    qc = -t * a * a
-    return qa, qb, qc
-
-
-def kernel_quadratic(kind: str, a: Arg, order: int) -> tuple[TSeries, TSeries, TSeries]:
-    t = tvar(order)
-    a = as_series(a, order)
-    return _quad_sym(a, t) if kind == "symmetric" else _quad_asym(a, t)
 
 
 # -- roots (p = 1) ----------------------------------------------------------
@@ -429,18 +389,6 @@ def p_asym(b: Arg, order: int) -> TSeries:
     return q_asym(s, w - 2).shift(-2).truncate(order)
 
 
-def qpq_series(which: str, arg: Arg, order: int) -> TSeries:
-    fn = {
-        "Q_sym": q_sym,
-        "Q_asym": q_asym,
-        "Qbar_asym": qbar_asym,
-        "P_asym": p_asym,
-    }.get(which)
-    if fn is None:
-        raise ValueError(f"unknown series {which!r}")
-    return fn(arg, order)
-
-
 # -- residual verification ---------------------------------------------------
 
 def residual_functional_eq(kind: str, p: int, a, b, order: int,
@@ -486,6 +434,21 @@ def residual_kernel_form(kind: str, p: int, a, b, order: int,
 
 # -- the script coefficient ladder (asymmetric solution) ----------------------
 
+def _raw_quotients(n: int, a: Arg, w: int) -> tuple[TSeries, ...]:
+    """(g_n, g_n+1, beta(g_n), X_n, Y_n, Z_n, A_n) at working order w.
+
+    g_n is the n-fold gamma composition of a; X_n .. A_n are the raw
+    quotients of (X, Y, Z) at the composed roots.
+    """
+    g_n = gamma_composed(n, a, w)
+    g_n1 = gamma_composed(n + 1, a, w)
+    bg = root("asymmetric", "beta-", g_n, w)
+    c1 = kernel_coeffs("asymmetric", 1, g_n, bg, w)
+    c2 = kernel_coeffs("asymmetric", 1, g_n1, bg, w)
+    return (g_n, g_n1, bg, -(c1.free_term / c1.lower), c1.upper / c1.lower,
+            c2.free_term / c2.upper, c2.lower / c2.upper)
+
+
 def script_coeffs(n: int, a: Arg, order: int) -> dict:
     """The coefficient sextuple of the asymmetric iteration at depth n.
 
@@ -496,16 +459,7 @@ def script_coeffs(n: int, a: Arg, order: int) -> dict:
     """
     w = order + 4 * (n + 1) + 16
     t = tvar(w)
-    g_n = gamma_composed(n, a, w)
-    g_n1 = gamma_composed(n + 1, a, w)
-    bg = root("asymmetric", "beta-", g_n, w)
-
-    c1 = kernel_coeffs("asymmetric", 1, g_n, bg, w)
-    c2 = kernel_coeffs("asymmetric", 1, g_n1, bg, w)
-    x_n = -(c1.free_term / c1.lower)
-    y_n = c1.upper / c1.lower
-    z_n = c2.free_term / c2.upper
-    a_n = c2.lower / c2.upper
+    g_n, g_n1, bg, x_n, y_n, z_n, a_n = _raw_quotients(n, a, w)
     b_n = x_n + y_n * z_n
     c_n = y_n * a_n
 
@@ -585,15 +539,7 @@ def raw_iterated_sum(a: Arg, order: int) -> TSeries:
     prod = TSeries.constant(1, w)
     n = 0
     while True:
-        g_n = gamma_composed(n, a, w)
-        g_n1 = gamma_composed(n + 1, a, w)
-        bg = root("asymmetric", "beta-", g_n, w)
-        c1 = kernel_coeffs("asymmetric", 1, g_n, bg, w)
-        c2 = kernel_coeffs("asymmetric", 1, g_n1, bg, w)
-        x_n = -(c1.free_term / c1.lower)
-        y_n = c1.upper / c1.lower
-        z_n = c2.free_term / c2.upper
-        a_n = c2.lower / c2.upper
+        *_, x_n, y_n, z_n, a_n = _raw_quotients(n, a, w)
         term = prod * (x_n + y_n * z_n)
         acc = acc + term
         val = term.valuation

@@ -440,17 +440,6 @@ def tpoly(entries: Mapping[int, Scalar], order: int) -> TSeries:
     return TSeries.from_dict(entries, order)
 
 
-def evaluate_poly(coeffs: Mapping[int, Scalar], s: TSeries) -> TSeries:
-    """Evaluate a finite polynomial (exponent -> coefficient) at any series."""
-    acc = TSeries.zero(s.order)
-    for k in sorted(coeffs):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        acc = acc.add(s.pow(k).mul(Fraction(c)))
-    return acc
-
-
 class PrecFloat:
     """Arbitrary-precision float that carries its working precision.
 

@@ -2,15 +2,13 @@
 
 Each suite returns a list of Verdicts; a run is clean when no verdict has
 status "fail".  Comparisons covered by the discrepancy ledger report instead
-of failing.  The suite names live in suites.json so CI can shard them.
+of failing.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
 from . import closedforms as cf
 from . import kernel
@@ -289,16 +287,11 @@ SUITES = {
 }
 
 
-def manifest() -> dict:
-    text = resources.files("wedgewalks").joinpath("suites.json").read_text()
-    return json.loads(text)
-
-
 def run_suite(name: str, **kwargs) -> list[Verdict]:
     if name == "all":
         out = []
-        for key in manifest()["suites"]:
-            out.extend(SUITES[key]())
+        for suite in SUITES.values():
+            out.extend(suite())
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)} or 'all'")

@@ -13,9 +13,15 @@ Seven vertex domains are supported:
     boundary_flat   Y >= 0, final vertex on Y = 0 and final step horizontal
     boundary_diag   Y >= X, final vertex on Y = X and final step horizontal
 
-Two independent counters are provided: a per-length dynamic program over
-(position, last-step) states, and an exhaustive depth-first generator used as
-an oracle for small lengths.  They share no transition code.
+Two independent counters are provided: a per-length dynamic program, and an
+exhaustive depth-first generator used as an oracle for small lengths.  They
+share no transition code.
+
+The dynamic program works in the sheared height h = Y - ls*X, where ls is the
+slope of the lower line (0 when there is none).  The lower line becomes
+h >= 0, an east step adds -ls to h, and the upper line of a wedge becomes
+h <= width*X.  Only the two wedges have an upper line, so only they need X;
+the five line models are keyed by h alone.
 """
 
 from __future__ import annotations
@@ -80,17 +86,22 @@ class WedgeModel:
             return y == x and last in (None, "E")
         return True
 
-    def _bounds(self):
-        """(has_lo, lo_slope, has_up, up_slope) with bounds lo = ls*x, up = us*x."""
+    def _geometry(self) -> tuple[bool, int, int | None]:
+        """(has_lo, shift, width) in the sheared height h = Y - ls*X.
+
+        The lower line is h >= 0 when ``has_lo``; an east step adds ``shift``
+        (= -ls) to h; the upper line is h <= width*X, and ``width`` is None
+        for the models without one.
+        """
         if self.kind == "free":
-            return False, 0, False, 0
+            return False, 0, None
         if self.kind == "symmetric":
-            return True, -self.p, True, self.p
+            return True, self.p, 2 * self.p
         if self.kind == "asymmetric":
-            return True, 0, True, self.p
+            return True, 0, self.p
         if self.kind == "boundary_diag":
-            return True, 1, False, 0
-        return True, 0, False, 0
+            return True, -1, None
+        return True, 0, None
 
 
 @dataclass
@@ -124,57 +135,68 @@ class CountTable:
 def _frontier_total(model: WedgeModel, frontier) -> int:
     kind = model.kind
     if kind == "quarter_endline":
-        return sum(e + u + d for (x, y), (e, u, d) in frontier.items() if y == 0)
-    if kind == "boundary_flat":
-        return sum(e for (x, y), (e, u, d) in frontier.items() if y == 0)
-    if kind == "boundary_diag":
-        return sum(e for (x, y), (e, u, d) in frontier.items() if y == x)
+        return sum(e + u + d for (x, h), (e, u, d) in frontier.items() if h == 0)
+    if kind in ("boundary_flat", "boundary_diag"):
+        return sum(e for (x, h), (e, u, d) in frontier.items() if h == 0)
     return sum(e + u + d for e, u, d in frontier.values())
+
+
+def _step(frontier, has_lo: bool, shift: int, width: int | None):
+    """Extend every walk of the frontier by one step; the only transition loop.
+
+    The frontier maps (X, h) to the counts [east-or-start, north, south] split
+    by the arriving step.  Without an upper line (``width`` None) X stays 0.
+    """
+    has_up = width is not None
+    dx = 1 if has_up else 0
+    new: dict[tuple[int, int], list[int]] = {}
+    get = new.get
+    for (x, h), (e, u, d) in frontier.items():
+        tot = e + u + d
+        x1 = x + dx
+        h1 = h + shift
+        if (not has_lo or h1 >= 0) and (not has_up or h1 <= width * x1):
+            key = (x1, h1)
+            cur = get(key)
+            if cur is None:
+                new[key] = [tot, 0, 0]
+            else:
+                cur[0] += tot
+        eu = e + u
+        if eu and (not has_up or h < width * x):
+            key = (x, h + 1)
+            cur = get(key)
+            if cur is None:
+                new[key] = [0, eu, 0]
+            else:
+                cur[1] += eu
+        ed = e + d
+        if ed and (not has_lo or h > 0):
+            key = (x, h - 1)
+            cur = get(key)
+            if cur is None:
+                new[key] = [0, 0, ed]
+            else:
+                cur[2] += ed
+    return new
 
 
 def count_walks(model: WedgeModel, n_max: int) -> CountTable:
     """Exact counts of walks of every length 0..n_max.
 
-    Per-length frontier keyed by (X, Y) holding counts split by the arriving
-    step (east-or-start, north, south); memory is reclaimed each step.
+    Per-length frontier keyed by (X, h), h the sheared height, holding counts
+    split by the arriving step; X stays 0 for the five line models, which are
+    keyed by h alone.  Memory is reclaimed each step.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > _MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the budget of {_MAX_N}")
-    has_lo, ls, has_up, us = model._bounds()
+    geometry = model._geometry()
     frontier: dict[tuple[int, int], list[int]] = {(0, 0): [1, 0, 0]}
     counts = [_frontier_total(model, frontier)]
     for n in range(1, n_max + 1):
-        new: dict[tuple[int, int], list[int]] = {}
-        get = new.get
-        for (x, y), (e, u, d) in frontier.items():
-            tot = e + u + d
-            x1 = x + 1
-            if (not has_lo or ls * x1 <= y) and (not has_up or y <= us * x1):
-                key = (x1, y)
-                cur = get(key)
-                if cur is None:
-                    new[key] = [tot, 0, 0]
-                else:
-                    cur[0] += tot
-            eu = e + u
-            if eu and (not has_up or y + 1 <= us * x):
-                key = (x, y + 1)
-                cur = get(key)
-                if cur is None:
-                    new[key] = [0, eu, 0]
-                else:
-                    cur[1] += eu
-            ed = e + d
-            if ed and (not has_lo or y - 1 >= ls * x):
-                key = (x, y - 1)
-                cur = get(key)
-                if cur is None:
-                    new[key] = [0, 0, ed]
-                else:
-                    cur[2] += ed
-        frontier = new
+        frontier = _step(frontier, *geometry)
         if len(frontier) > _MAX_STATES:
             raise BudgetError(f"state budget exceeded at length {n}")
         counts.append(_frontier_total(model, frontier))
@@ -296,51 +318,16 @@ def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
         raise ValueError("weighted series exist for the symmetric and asymmetric models only")
     if order > 60:
         raise BudgetError(f"weighted order {order} exceeds the budget of 60")
-    model = WedgeModel(kind, p)
-    has_lo, ls, has_up, us = model._bounds()
+    has_lo, shift, width = WedgeModel(kind, p)._geometry()
     entries: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-
-    def record(n: int, frontier) -> None:
-        for (x, y), (e, _u, _d) in frontier.items():
-            if not e:
-                continue
-            i = p * x - y
-            j = p * x + y if kind == "symmetric" else y
-            key = (n, i, j)
-            entries[key] = entries.get(key, 0) + e
-
     frontier: dict[tuple[int, int], list[int]] = {(0, 0): [1, 0, 0]}
     for n in range(1, order + 1):
-        new: dict[tuple[int, int], list[int]] = {}
-        get = new.get
-        for (x, y), (e, u, d) in frontier.items():
-            tot = e + u + d
-            x1 = x + 1
-            if (not has_lo or ls * x1 <= y) and (not has_up or y <= us * x1):
-                key = (x1, y)
-                cur = get(key)
-                if cur is None:
-                    new[key] = [tot, 0, 0]
-                else:
-                    cur[0] += tot
-            eu = e + u
-            if eu and (not has_up or y + 1 <= us * x):
-                key = (x, y + 1)
-                cur = get(key)
-                if cur is None:
-                    new[key] = [0, eu, 0]
-                else:
-                    cur[1] += eu
-            ed = e + d
-            if ed and (not has_lo or y - 1 >= ls * x):
-                key = (x, y - 1)
-                cur = get(key)
-                if cur is None:
-                    new[key] = [0, 0, ed]
-                else:
-                    cur[2] += ed
-        frontier = new
-        record(n, frontier)
+        frontier = _step(frontier, has_lo, shift, width)
+        # i = width*X - h is the distance below the upper line, j = h above the lower
+        for (x, h), (e, _u, _d) in frontier.items():
+            if e:
+                key = (n, width * x - h, h)
+                entries[key] = entries.get(key, 0) + e
     return WeightedSeries(kind, p, order, entries)
 
 

@@ -43,17 +43,6 @@ class TestKernelCoeffs:
         assert y.eval_exact(third) == Fraction(-1, 27)
         assert z.eval_exact(third) == Fraction(-2, 27)
 
-    def test_system_wrapper(self):
-        sys_ = kernel.KernelSystem("symmetric", 1)
-        r = sys_.root("beta-", Fraction(1, 2), 20)
-        assert sys_.kernel(TSeries.constant(Fraction(1, 2), r.order), r,
-                           r.order).is_zero()
-        assert sys_.coeffs(1, 1, 8).kernel.same(kernel.kernel_p1_printed(1, 1, 8))
-        with pytest.raises(ValueError):
-            kernel.KernelSystem("free", 1)
-        with pytest.raises(ValueError):
-            kernel.KernelSystem("symmetric", 2).root("beta-", 1, 10)
-
 
 class TestRoots:
     @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
@@ -174,11 +163,6 @@ class TestQSeries:
         s = kernel.root("asymmetric", "alpha-", Fraction(1, 2), 34)
         composed = kernel.q_asym(s, 24)
         assert composed.same(kernel.p_asym(Fraction(1, 2), 22).shift(2))
-
-    def test_dispatcher(self):
-        assert kernel.qpq_series("Q_sym", 1, 8).same(kernel.q_sym(1, 8))
-        with pytest.raises(ValueError):
-            kernel.qpq_series("nope", 1, 8)
 
 
 class TestResiduals:

@@ -1,14 +1,8 @@
-"""Verification suite registry and manifest."""
+"""Verification suite registry."""
 
 import json
 
 from wedgewalks import suites
-
-
-def test_manifest_enumerates_all_suites():
-    m = suites.manifest()
-    assert m["schema"] == 1
-    assert set(m["suites"]) == set(suites.SUITES)
 
 
 def test_kernel_suite_clean():

@@ -20,23 +20,24 @@ FROZEN = {
 }
 
 
+def _slopes(kinds):
+    """(kind, p) for p = 1, 2, 3; the p = 1 case keeps the bare kind as its id."""
+    return [pytest.param(kind, p, id=kind if p == 1 else f"{kind}-p{p}")
+            for kind in kinds for p in (1, 2, 3)]
+
+
 class TestCounts:
     @pytest.mark.parametrize("kind,expected", FROZEN.items())
     def test_frozen_small_counts(self, kind, expected):
         table = count_walks(WedgeModel(kind, 1), len(expected) - 1)
         assert table.counts == expected
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_dp_equals_oracle(self, kind):
-        model = WedgeModel(kind, 1)
+    @pytest.mark.parametrize("kind,p", _slopes(KINDS))
+    def test_dp_equals_oracle(self, kind, p):
+        # the line models ignore p, so their p = 2, 3 cases check that too
+        model = WedgeModel(kind, p)
         n = 12
         assert count_walks(model, n).counts == brute_force_counts(model, n)
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_dp_equals_oracle_wider_wedges(self, p):
-        for kind in ("symmetric", "asymmetric"):
-            model = WedgeModel(kind, p)
-            assert count_walks(model, 10).counts == brute_force_counts(model, 10)
 
     def test_oracle_spot_values(self):
         assert brute_force_oracle(WedgeModel("symmetric", 1), 3) == 5
@@ -112,11 +113,11 @@ class TestWeighted:
         assert total == brute_force_oracle(WedgeModel("symmetric", 1), 3,
                                            ending="horizontal")
 
-    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
-    def test_collapse_matches_oracle(self, kind):
-        w = weighted_gf(kind, 1, 12)
+    @pytest.mark.parametrize("kind,p", _slopes(["symmetric", "asymmetric"]))
+    def test_collapse_matches_oracle(self, kind, p):
+        w = weighted_gf(kind, p, 12)
         counts = w.horizontal_counts()
-        oracle = [brute_force_oracle(WedgeModel(kind, 1), n, ending="horizontal")
+        oracle = [brute_force_oracle(WedgeModel(kind, p), n, ending="horizontal")
                   for n in range(13)]
         assert counts == oracle
 
