@@ -6,11 +6,10 @@ independent dynamic-programming counts.
 
 __version__ = "0.1.0"
 
-from .series import PrecFloat, TSeries, tpoly
+from .series import TSeries, tpoly
 from .walks import CountTable, WedgeModel, brute_force_oracle, count_walks, weighted_gf
 
 __all__ = [
-    "PrecFloat",
     "TSeries",
     "tpoly",
     "CountTable",

@@ -88,6 +88,17 @@ def _alternating_theta_num(t, prec_extra: int = 10):
     return total
 
 
+def _a0_residue():
+    """A0 at the current working precision (see :func:`constant_A0`)."""
+    tc = mpmath.sqrt(2) - 1
+    s = _alternating_theta_num(tc)
+    radical = mpmath.sqrt((1 - tc**2) * (1 - 5 * tc**2))
+    prefactor = (1 - tc**2 - radical) / tc
+    # 1 - 2t - t^2 = -(t - tc)(t + 1 + sqrt(2)); residue scaling by
+    # (1 - t/tc) contributes 1/(tc * (tc + 1 + sqrt(2)))
+    return ((1 + tc) - prefactor * s) / (tc * (tc + 1 + mpmath.sqrt(2)))
+
+
 def constant_A0(digits: int = 30) -> AsymptoticReport:
     """Residue of the symmetric-wedge series at its dominant simple pole.
 
@@ -98,12 +109,7 @@ def constant_A0(digits: int = 30) -> AsymptoticReport:
     _check_digits(digits)
     with mpmath.workdps(digits + 15):
         tc = mpmath.sqrt(2) - 1
-        s = _alternating_theta_num(tc)
-        radical = mpmath.sqrt((1 - tc**2) * (1 - 5 * tc**2))
-        prefactor = (1 - tc**2 - radical) / tc
-        # 1 - 2t - t^2 = -(t - tc)(t + 1 + sqrt(2)); residue scaling by
-        # (1 - t/tc) contributes 1/(tc * (tc + 1 + sqrt(2)))
-        a0 = ((1 + tc) - prefactor * s) / (tc * (tc + 1 + mpmath.sqrt(2)))
+        a0 = _a0_residue()
 
         q_tc = _q_at(tc)
         q_exact = 3 - 2 * mpmath.sqrt(2)
@@ -157,10 +163,7 @@ def constants_A1A2(vtable: CountTable, digits: int = 60) -> list[AsymptoticRepor
     nodes_odd = [n - 1 for n in nodes_even]
     with mpmath.workdps(digits):
         mu = 1 + mpmath.sqrt(2)
-        tc = mpmath.sqrt(2) - 1
-        s = _alternating_theta_num(tc)
-        radical = mpmath.sqrt((1 - tc**2) * (1 - 5 * tc**2))
-        a0 = ((1 + tc) - (1 - tc**2 - radical) / tc * s) / (tc * (tc + 1 + mpmath.sqrt(2)))
+        a0 = _a0_residue()
 
         def scaled(n: int):
             r = vtable[n] - a0 * mu**n
@@ -224,6 +227,14 @@ def constant_theta(digits: int = 30) -> AsymptoticReport:
             })
 
 
+def _checkpoints_in(table: CountTable, checkpoints) -> list[int]:
+    ns = [n for n in checkpoints if n < len(table)]
+    if not ns:
+        raise ValueError(f"no checkpoint among {tuple(checkpoints)} lies in a "
+                         f"table of lengths 0..{len(table) - 1}")
+    return ns
+
+
 def constant_B0(wtable: CountTable, checkpoints=(100, 200, 400),
                 digits: int = 30) -> AsymptoticReport:
     """Empirical constant of the asymmetric wedge: w_n sqrt(n) / mu^n.
@@ -233,7 +244,7 @@ def constant_B0(wtable: CountTable, checkpoints=(100, 200, 400),
     (smaller by exactly mu).
     """
     _check_digits(digits)
-    ns = [n for n in checkpoints if n < len(wtable)]
+    ns = _checkpoints_in(wtable, checkpoints)
     with mpmath.workdps(digits + 10):
         mu = 1 + mpmath.sqrt(2)
         ref = mpmath.mpf(REFERENCES["B0"])
@@ -276,7 +287,7 @@ def constant_halfplane(htable: CountTable, checkpoints=(100, 200, 400),
                        digits: int = 30) -> AsymptoticReport:
     """Closed constant sqrt((7+5 sqrt2)/(2 pi)) against half-plane counts."""
     _check_digits(digits)
-    ns = [n for n in checkpoints if n < len(htable)]
+    ns = _checkpoints_in(htable, checkpoints)
     with mpmath.workdps(digits + 10):
         mu = 1 + mpmath.sqrt(2)
         closed = halfplane_reference(digits + 10)
@@ -337,30 +348,6 @@ def eq37_accuracy(vtable: CountTable, digits: int = 30) -> dict:
                 "within_literal": bool(rel <= bound),
             })
         return {"rows": rows, "ok": all(r["figure_matches"] for r in rows)}
-
-
-def validate_fit_on_free(ftable: CountTable, digits: int = 30) -> dict:
-    """Fit sanity check on the unconstrained walks, where the answer is known.
-
-    The growth factor must come out as 1 + sqrt(2) and the prefactor
-    c_n / mu^n as (1 + sqrt(2))/2, both to six digits by n ~ 40 (the
-    subdominant part decays like (sqrt(2)-1)^n).
-    """
-    _check_digits(digits)
-    n = len(ftable) - 1
-    with mpmath.workdps(digits):
-        mu = 1 + mpmath.sqrt(2)
-        growth = mpmath.mpf(ftable[n]) / ftable[n - 1]
-        prefactor = ftable[n] / mu**n
-        return {
-            "n": n,
-            "growth": _nstr(growth, 12),
-            "growth_error": _nstr(abs(growth - mu), 3),
-            "prefactor": _nstr(prefactor, 12),
-            "prefactor_error": _nstr(abs(prefactor - mu / 2), 3),
-            "ok": bool(abs(growth - mu) < mpmath.mpf(10) ** -6
-                       and abs(prefactor - mu / 2) < mpmath.mpf(10) ** -6),
-        }
 
 
 def _p2k_series(k: int, order: int):

@@ -30,8 +30,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _default_digits() -> int:
-    return int(os.environ.get("WEDGEWALKS_DIGITS", "30"))
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"not an integer >= {lo}: {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _fraction(text: str) -> Fraction:
@@ -101,6 +113,9 @@ def cmd_asympt(args) -> int:
     def need_counts(kind: str, n: int):
         return count_walks(WedgeModel(kind, 1), n)
 
+    checkpoints = tuple(n for n in (args.nmax // 4, args.nmax // 2, args.nmax)
+                        if n >= 10)
+
     if want in ("A0", "all"):
         reports.append(asy.constant_A0(digits))
     if want in ("A1A2", "all"):
@@ -110,13 +125,9 @@ def cmd_asympt(args) -> int:
         reports.append(asy.constant_theta(digits))
     if want in ("B0", "all"):
         wt = need_counts("asymmetric", args.nmax)
-        checkpoints = tuple(n for n in (args.nmax // 4, args.nmax // 2, args.nmax)
-                            if n >= 10)
         reports.append(asy.constant_B0(wt, checkpoints, digits))
     if want in ("halfplane", "all"):
         ht = need_counts("halfplane", args.nmax)
-        checkpoints = tuple(n for n in (args.nmax // 4, args.nmax // 2, args.nmax)
-                            if n >= 10)
         reports.append(asy.constant_halfplane(ht, checkpoints, digits))
     if want in ("eq-accuracy", "all"):
         vt = need_counts("symmetric", 40)
@@ -180,19 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "suites, and asymptotics for partially directed walks "
                     "in wedges.")
     top.add_argument("--version", action="version", version=__version__)
+    # a string default is converted by its type only when that verb is parsed
+    digits = os.environ.get("WEDGEWALKS_DIGITS", "30")
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("count", help="exact walk counts by length")
     p.add_argument("--model", choices=KINDS, required=True)
     p.add_argument("--p", type=int, default=1, help="wedge slope")
-    p.add_argument("--n", type=int, required=True, help="maximum length")
+    p.add_argument("--n", type=_nonnegative_int, required=True,
+                   help="maximum length")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("series", help="closed-form series coefficients")
     p.add_argument("--kind", choices=cf.GF_KINDS + ("weighted",), required=True)
-    p.add_argument("--order", type=int, default=50)
+    p.add_argument("--order", type=_nonnegative_int, default=50)
     p.add_argument("--a", type=_fraction, default=Fraction(1),
                    help="rational argument for the parametrized kinds")
     p.add_argument("--p", type=int, default=1)
@@ -205,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=tuple(suites.SUITES) + ("all",),
                    required=True)
-    p.add_argument("--order", type=int, default=30)
+    p.add_argument("--order", type=_nonnegative_int, default=30)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
@@ -214,16 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("A0", "A1A2", "theta", "B0", "halfplane",
                             "eq-accuracy", "p-pieces", "roots", "all"),
                    default="all")
-    p.add_argument("--digits", type=int, default=_default_digits())
-    p.add_argument("--nmax", type=int, default=400)
-    p.add_argument("--kmax", type=int, default=20)
+    p.add_argument("--digits", type=_positive_int, default=digits)
+    p.add_argument("--nmax", type=_nonnegative_int, default=400)
+    p.add_argument("--kmax", type=_nonnegative_int, default=20)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_asympt)
 
     p = sub.add_parser("report", help="bundle everything into one JSON document")
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--nmax", type=int, default=40)
-    p.add_argument("--digits", type=int, default=_default_digits())
+    p.add_argument("--order", type=_nonnegative_int, default=30)
+    p.add_argument("--nmax", type=_nonnegative_int, default=40)
+    p.add_argument("--digits", type=_positive_int, default=digits)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
 

@@ -327,16 +327,6 @@ class ComparisonReport:
     def agree(self) -> bool:
         return self.first_mismatch is None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "first_mismatch": self.first_mismatch,
-            "diffs": [[n, lhs, rhs] for n, lhs, rhs in self.diffs],
-            "note": self.note,
-            "expected_mismatch": self.expected_mismatch,
-        }
-
 
 def compare_series(name: str, lhs: TSeries, rhs: TSeries, upto: int,
                    max_diffs: int = 8, **kw) -> ComparisonReport:

@@ -1,4 +1,4 @@
-"""Truncated Laurent series over exact rationals, plus precision-tracked floats.
+"""Truncated Laurent series over exact rationals.
 
 A :class:`TSeries` represents
 
@@ -15,6 +15,7 @@ carries the tightest truncation order that the operands justify:
     div     : min(Na - vb, Nb + va - 2*vb)
     sqrt    : Na - va/2
 
+where a zero series, being O(t**(N + 1)), counts as valuation N + 1.
 No operation ever rounds a coefficient.
 """
 
@@ -24,8 +25,6 @@ import json
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-import mpmath
 
 Scalar = Union[int, Fraction]
 
@@ -101,13 +100,6 @@ class TSeries:
     def t_power(k: int, order: int, c: Scalar = 1) -> "TSeries":
         return TSeries(k, [Fraction(c)], order)
 
-    @staticmethod
-    def geometric(ratio_power: int, order: int) -> "TSeries":
-        """1/(1 - t**ratio_power) as a series."""
-        return TSeries.t_power(0, order).div(
-            TSeries.from_dict({0: 1, ratio_power: -1}, order)
-        )
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -153,16 +145,13 @@ class TSeries:
             return x
         return TSeries.constant(x, order)
 
-    def _binary_order(self, other: "TSeries") -> int:
-        return min(self._order, other._order)
-
     def add(self, other) -> "TSeries":
         other = self._coerce(other, self._order)
-        order = self._binary_order(other)
+        order = min(self._order, other._order)
         if self.is_zero():
-            return other.truncate(min(order, other._order))
+            return other.truncate(order)
         if other.is_zero():
-            return self.truncate(min(order, self._order))
+            return self.truncate(order)
         lo = min(self._val, other._val)
         hi = min(order, max(self._val + len(self._coeffs), other._val + len(other._coeffs)) - 1)
         coeffs = [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)]
@@ -177,12 +166,15 @@ class TSeries:
 
     def mul(self, other) -> "TSeries":
         other = self._coerce(other, self._order)
-        if self.is_zero() or other.is_zero():
-            return TSeries.zero(self._binary_order(other))
-        order = min(self._order + other._val, other._order + self._val)
-        if order < self._val + other._val:
+        # a zero series is O(t**(order + 1)): its valuation counts as order + 1
+        va = self._val if self._coeffs else self._order + 1
+        vb = other._val if other._coeffs else other._order + 1
+        order = min(self._order + vb, other._order + va)
+        if not (self._coeffs and other._coeffs):
+            return TSeries.zero(order)
+        lo = va + vb
+        if order < lo:
             raise OrderUnderflowError("product has no reliable coefficients")
-        lo = self._val + other._val
         n_out = order - lo + 1
         out = [Fraction(0)] * n_out
         a, b = self._coeffs, other._coeffs
@@ -200,31 +192,21 @@ class TSeries:
         if self.is_zero():
             raise ZeroDivisionSeriesError("inverse of the zero series")
         rel = self._order - self._val  # relative order of the unit part
-        order = rel - self._val  # = self._order - 2*self._val
         if rel < 0:
             raise OrderUnderflowError("inverse has no reliable coefficients")
-        lead = self._coeffs[0]
-        inv = [Fraction(0)] * (rel + 1)
-        inv[0] = 1 / lead
-        a = self._coeffs
-        for k in range(1, rel + 1):
-            s = Fraction(0)
-            for j in range(1, min(k, len(a) - 1) + 1):
-                s += a[j] * inv[k - j]
-            inv[k] = -s / lead
-        return TSeries(-self._val, inv, order)
+        return TSeries.constant(1, rel).div(self)
 
     def div(self, other) -> "TSeries":
         other = self._coerce(other, self._order)
         if other.is_zero():
             raise ZeroDivisionSeriesError("division by an identically-zero series")
-        if self.is_zero():
-            return TSeries.zero(min(self._order - other._val,
-                                    other._order - 2 * other._val))
         # quotient valuation = val(self) - val(other); long division on the
         # unit parts keeps everything exact.
-        va, vb = self._val, other._val
+        va = self._val if self._coeffs else self._order + 1
+        vb = other._val
         order = min(self._order - vb, other._order + va - 2 * vb)
+        if not self._coeffs:
+            return TSeries.zero(order)
         lo = va - vb
         if order < lo:
             raise OrderUnderflowError("quotient has no reliable coefficients")
@@ -242,27 +224,30 @@ class TSeries:
     def pow(self, n: int) -> "TSeries":
         if n < 0:
             return self.inverse().pow(-n)
-        result = TSeries.constant(1, self._order - self._val + n * self._val)
+        if n == 0:
+            return TSeries.constant(1, self._order)
+        # square-and-multiply (exponents here are small), seeded with the
+        # first factor: a seed 1 + O(t**k) would cap the order at k
+        result = None
         base = self
-        # simple square-and-multiply; exponents here are small
-        e = n
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            e >>= 1
-            if e:
+        while n:
+            if n & 1:
+                result = base if result is None else result.mul(base)
+            n >>= 1
+            if n:
                 base = base.mul(base)
-        return result if n else TSeries.constant(1, self._order)
+        return result
 
     def sqrt(self) -> "TSeries":
         """Square-root branch with positive leading coefficient.
 
         Requires even valuation and a leading coefficient that is the square
-        of a rational.  Newton iteration on the unit part doubles the number
-        of correct coefficients each pass.
+        of a rational.  The unit part u has root s with s_0 = sqrt(u_0) and
+        s_k = (u_k - sum(s_j * s_(k-j) for 0 < j < k)) / (2 * s_0).
         """
         if self.is_zero():
-            return TSeries.zero(self._order)
+            # the root of O(t**(order + 1)) is O(t**ceil((order + 1) / 2))
+            return TSeries.zero(self._order // 2)
         if self._val % 2:
             raise SqrtBranchError(f"odd valuation {self._val} has no series sqrt")
         lead = _fraction_sqrt(self._coeffs[0])
@@ -271,16 +256,16 @@ class TSeries:
                 f"leading coefficient {self._coeffs[0]} is not a rational square"
             )
         rel = self._order - self._val
-        unit = TSeries(0, self._coeffs, rel)
-        x = TSeries.constant(lead, 0)
-        known = 0
-        while known < rel:
-            known = min(2 * known + 1, rel)
-            u = unit.truncate(known)
-            x = TSeries(0, x._coeffs, known)
-            x = x.add(u.div(x)).mul(Fraction(1, 2))
+        u = self._coeffs
+        twice = 2 * lead
+        out = [lead]
+        for k in range(1, rel + 1):
+            s = u[k] if k < len(u) else Fraction(0)
+            for j in range(1, k):
+                s -= out[j] * out[k - j]
+            out.append(s / twice)
         half = self._val // 2
-        return TSeries(half, x._coeffs, self._order - half)
+        return TSeries(half, out, self._order - half)
 
     # operator sugar -------------------------------------------------------
 
@@ -313,57 +298,6 @@ class TSeries:
 
     def __pow__(self, n: int):
         return self.pow(n)
-
-    # -- composition and evaluation ---------------------------------------
-
-    def substitute(self, s: "TSeries") -> "TSeries":
-        """Compose: returns self(s).  Requires val(s) >= 1."""
-        if s.is_zero():
-            if self._val < 0:
-                raise SeriesError("negative-valuation series composed with 0")
-            return TSeries.constant(self.coeff(0), s._order)
-        if s._val < 1:
-            raise SeriesError(
-                f"substitution needs valuation >= 1, got {s._val}"
-            )
-        # Horner on the stored window, then shift by s**valuation.
-        order = min(s._order, (self._order + 1) * s._val - 1)
-        acc = TSeries.zero(order)
-        for c in reversed(self._coeffs):
-            acc = acc.mul(s).add(TSeries.constant(c, order))
-        if self._val:
-            acc = acc.mul(s.pow(abs(self._val)) if self._val > 0
-                          else s.pow(self._val))
-        return acc.truncate(min(order, acc._order))
-
-    def eval_exact(self, point: Scalar) -> Fraction:
-        """Finite sum of the stored terms at a rational point."""
-        point = Fraction(point)
-        if point == 0:
-            if self._val < 0:
-                raise SeriesError("negative-valuation series evaluated at 0")
-            return self.coeff(0) if self._val <= 0 <= self._order else Fraction(0)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc * point ** self._val
-
-    def eval_float(self, point: "PrecFloat | mpmath.mpf | float") -> "PrecFloat":
-        """Sum of the stored terms at a numeric point, precision-tracked."""
-        if isinstance(point, PrecFloat):
-            digits = point.digits
-            x = point.value
-        else:
-            digits = mpmath.mp.dps
-            x = mpmath.mpf(point)
-        with mpmath.workdps(digits + 10):
-            if x == 0 and self._val < 0:
-                raise SeriesError("negative-valuation series evaluated at 0")
-            acc = mpmath.mpf(0)
-            for c in reversed(self._coeffs):
-                acc = acc * x + mpmath.mpf(c.numerator) / c.denominator
-            acc = acc * x ** self._val if self._coeffs else mpmath.mpf(0)
-            return PrecFloat(acc, digits)
 
     # -- comparison helpers ------------------------------------------------
 
@@ -405,12 +339,6 @@ class TSeries:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "TSeries":
-        payload = json.loads(text)
-        coeffs = [Fraction(int(n), int(d)) for n, d in payload["coeffs"]]
-        return TSeries(payload["valuation"], coeffs, payload["order"])
-
     def __str__(self) -> str:
         parts = []
         for i, c in enumerate(self._coeffs):
@@ -439,71 +367,3 @@ def tpoly(entries: Mapping[int, Scalar], order: int) -> TSeries:
     """Convenience constructor for (Laurent) polynomials."""
     return TSeries.from_dict(entries, order)
 
-
-class PrecFloat:
-    """Arbitrary-precision float that carries its working precision.
-
-    Arithmetic runs at the smaller of the operands' digit counts; comparisons
-    are deliberately absent -- use :meth:`close_to` with an explicit
-    tolerance.
-    """
-
-    __slots__ = ("value", "digits")
-
-    def __init__(self, value, digits: int = 30):
-        self.digits = digits
-        with mpmath.workdps(digits):
-            if isinstance(value, Fraction):
-                self.value = mpmath.mpf(value.numerator) / value.denominator
-            elif isinstance(value, str):
-                self.value = mpmath.mpf(value)
-            else:
-                self.value = mpmath.mpf(value)
-
-    @staticmethod
-    def _digits(other) -> int:
-        return other.digits if isinstance(other, PrecFloat) else 10**9
-
-    @staticmethod
-    def _raw(other):
-        if isinstance(other, PrecFloat):
-            return other.value
-        if isinstance(other, Fraction):
-            return mpmath.mpf(other.numerator) / other.denominator
-        return other
-
-    def _binary(self, other, fn) -> "PrecFloat":
-        digits = min(self.digits, self._digits(other))
-        with mpmath.workdps(digits):
-            return PrecFloat(fn(self.value, mpmath.mpf(self._raw(other))), digits)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def sqrt(self) -> "PrecFloat":
-        with mpmath.workdps(self.digits):
-            return PrecFloat(mpmath.sqrt(self.value), self.digits)
-
-    def close_to(self, other, tol) -> bool:
-        with mpmath.workdps(max(self.digits, 15)):
-            return abs(self.value - mpmath.mpf(self._raw(other))) <= mpmath.mpf(
-                self._raw(tol) if isinstance(tol, PrecFloat) else tol
-            )
-
-    def __float__(self):
-        return float(self.value)
-
-    def __str__(self):
-        return mpmath.nstr(self.value, self.digits)
-
-    def __repr__(self):
-        return f"PrecFloat({self}, digits={self.digits})"

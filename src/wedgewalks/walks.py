@@ -30,10 +30,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .errors import BudgetError
-from .series import PrecFloat, TSeries
+from .series import TSeries
 
 KINDS = (
     "free",
@@ -372,19 +370,3 @@ def prepend_inequality(p: int, n_max: int, reps_max: int) -> dict:
         "ok": not violations,
         "first_violation": violations[0] if violations else None,
     }
-
-
-def growth_estimate(table: CountTable, digits: int = 30) -> dict:
-    """Ratios c_{n+1}/c_n and roots c_n**(1/n); both approach 1 + sqrt(2)."""
-    if len(table) < 11:
-        raise ValueError("need counts to length >= 10")
-    with mpmath.workdps(digits + 10):
-        ratios = []
-        for n in range(len(table) - 1):
-            if table[n]:
-                ratios.append((n, PrecFloat(mpmath.mpf(table[n + 1]) / table[n], digits)))
-        roots = []
-        for n in range(1, len(table)):
-            roots.append((n, PrecFloat(mpmath.root(mpmath.mpf(table[n]), n), digits)))
-        mu = PrecFloat(1 + mpmath.sqrt(2), digits)
-    return {"ratios": ratios, "roots": roots, "mu": mu}

@@ -85,10 +85,6 @@ class TestEq37:
 
 
 class TestFits:
-    def test_free_walk_validation(self, tables):
-        res = asy.validate_fit_on_free(tables("free", 60))
-        assert res["ok"]
-
     def test_B0_quick_window(self, tables):
         wt = tables("asymmetric", 120)
         rep = asy.constant_B0(wt, checkpoints=(30, 60, 120))

@@ -1,8 +1,11 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from wedgewalks import cli
 
@@ -115,8 +118,7 @@ class TestAsympt:
         monkeypatch.setenv("WEDGEWALKS_DIGITS", "17")
         parser = cli.build_parser()
         args = parser.parse_args(["asympt", "--const", "theta"])
-        # parser defaults are bound at build time, so rebuild under the env
-        assert args.digits == 17 or cli._default_digits() == 17
+        assert args.digits == 17
 
     def test_roots_audit(self):
         code, out = run_main("asympt", "--const", "roots", "--kmax", "5")
@@ -152,6 +154,31 @@ class TestExitCodes:
             [sys.executable, "-m", "wedgewalks.cli", "count", "--model", "bogus",
              "--n", "3"], capture_output=True)
         assert proc.returncode == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("env,argv,code", [
+        ("abc", ["ledger", "list"], 0),
+        ("abc", ["asympt", "--const", "theta"], 2),
+        (None, ["asympt", "--const", "theta", "--digits", "-5"], 2),
+        (None, ["asympt", "--const", "theta", "--digits", "201"], 3),
+        (None, ["asympt", "--const", "B0", "--nmax", "5"], 2),
+        (None, ["asympt", "--const", "halfplane", "--nmax", "5"], 2),
+        (None, ["asympt", "--const", "roots", "--kmax", "-1"], 2),
+        (None, ["series", "--kind", "dyck", "--order", "-1"], 2),
+        (None, ["count", "--model", "free", "--n", "-1"], 2),
+        (None, ["verify", "--suite", "kernel", "--order", "-1"], 2),
+        (None, ["report", "--nmax", "-1"], 2),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else str(v))
+    def test_bad_numbers_exit_without_traceback(self, env, argv, code):
+        environ = {k: v for k, v in os.environ.items() if k != "WEDGEWALKS_DIGITS"}
+        if env is not None:
+            environ["WEDGEWALKS_DIGITS"] = env
+        proc = subprocess.run([sys.executable, "-m", "wedgewalks.cli", *argv],
+                              capture_output=True, text=True, env=environ)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert len([ln for ln in proc.stderr.splitlines() if "error" in ln
+                        or "exceeded" in ln]) == 1, proc.stderr
 
     def test_budget_exceeded(self):
         code, _out = run_main("count", "--model", "free", "--n", "9999")

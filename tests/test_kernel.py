@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from wedgewalks import kernel
@@ -40,8 +41,12 @@ class TestKernelCoeffs:
         third = Fraction(1, 3)
         y = kernel.kernel_coeffs("asymmetric", 1, Fraction(1), Fraction(2), 10).lower
         z = kernel.kernel_coeffs("asymmetric", 1, Fraction(2), Fraction(1), 10).upper
-        assert y.eval_exact(third) == Fraction(-1, 27)
-        assert z.eval_exact(third) == Fraction(-2, 27)
+
+        def at_third(s):
+            return sum(c * third**k for k, c in enumerate(s.coeffs_upto(10)))
+
+        assert at_third(y) == Fraction(-1, 27)
+        assert at_third(z) == Fraction(-2, 27)
 
 
 class TestRoots:
@@ -68,6 +73,11 @@ class TestRoots:
         assert bp.valuation == -1
         a1 = kernel.root("asymmetric", "alpha-", 1, 20)
         assert a1.valuation == 1 and a1.coeff(1) == 1
+
+    def test_root_map_twice_equals_depth_two_closed_form(self):
+        b1 = kernel.root("symmetric", "beta-", 1, 30)
+        b2 = kernel.root("symmetric", "beta-", b1, b1.order)
+        assert b2.same(kernel.beta_closed(2, 1, b2.order))
 
     def test_alpha_requires_asymmetric(self):
         with pytest.raises(ValueError):
@@ -157,6 +167,18 @@ class TestQSeries:
         assert kernel.q_sym(1, 30).same(printed_q_sym(30))
         assert kernel.q_asym(1, 30).same(printed_q_asym(30))
         assert kernel.p_asym(1, 30).same(printed_p_asym(30))
+
+    def test_q_sym_sum_at_pole(self):
+        # Q(1) at the dominant pole t_c tends to 3 - 2 sqrt(2); the
+        # truncation error decays like (sqrt(5) t_c)^N
+        with mpmath.workdps(40):
+            tc = mpmath.sqrt(2) - 1
+            target = 3 - 2 * mpmath.sqrt(2)
+            for order, tol in ((40, 5e-3), (160, 1e-5)):
+                q = kernel.q_sym(1, order)
+                value = sum(mpmath.mpf(c.numerator) / c.denominator * tc**k
+                            for k, c in enumerate(q.coeffs_upto(order)))
+                assert abs(value - target) < tol
 
     def test_p_is_composition_over_xy(self):
         # Q evaluated at the alpha root equals t^2 times the P normalization

@@ -2,11 +2,15 @@
 
 import json
 
+import pytest
+
 from wedgewalks import suites
 
 
-def test_kernel_suite_clean():
-    summary = suites.summarize(suites.run_suite("kernel", order=30))
+@pytest.mark.parametrize("order", [0, 1, 3, 30])
+def test_kernel_suite_clean(order):
+    # orders 0, 1 and 3 multiply a zero series by one of negative valuation
+    summary = suites.summarize(suites.run_suite("kernel", order=order))
     assert summary["clean"]
     assert summary["counts"]["fail"] == 0
 

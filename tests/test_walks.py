@@ -1,7 +1,6 @@
 """Enumeration: DP against the exhaustive oracle, frozen counts, invariants."""
 
 import json
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -9,8 +8,8 @@ import pytest
 from wedgewalks.errors import BudgetError
 from wedgewalks.walks import (KINDS, WedgeModel, brute_force_counts,
                               brute_force_oracle, count_walks,
-                              growth_estimate, growth_inequalities,
-                              prepend_inequality, weighted_gf)
+                              growth_inequalities, prepend_inequality,
+                              weighted_gf)
 
 FROZEN = {
     "symmetric": [1, 1, 3, 5, 13, 27],
@@ -157,15 +156,3 @@ class TestGrowth:
         b = tables("quarter_endline", 4)
         w = tables("asymmetric", 10)
         assert b[2] ** 1 <= w[5]
-
-    def test_growth_estimate_free(self, tables):
-        est = growth_estimate(tables("free", 20))
-        n, ratio = est["ratios"][4]
-        assert n == 4
-        assert ratio.close_to(Fraction(99, 41), 1e-25)
-        assert ratio.close_to(est["mu"], 1e-3)
-        assert est["mu"].close_to("2.41421356237309504880", 1e-18)
-
-    def test_growth_estimate_needs_data(self):
-        with pytest.raises(ValueError):
-            growth_estimate(count_walks(WedgeModel("free", 1), 5))
