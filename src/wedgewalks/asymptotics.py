@@ -350,19 +350,6 @@ def eq37_accuracy(vtable: CountTable, digits: int = 30) -> dict:
         return {"rows": rows, "ok": all(r["figure_matches"] for r in rows)}
 
 
-def _p2k_series(k: int, order: int):
-    """Exact series of the k-th summand of the middle solution piece."""
-    w = order + 8
-    q = cf.printed_q_asym(w)
-    pole = cf._pell_inverse(w)
-    one_m_t2 = cf.tpoly({0: 1, 2: -1}, w)
-    pref = -(q * one_m_t2 * pole).shift(-2)
-    u = q.shift(2 * k - 1)
-    bracket = (1 - u) / (1 + u)
-    term = bracket * q.pow(2 * k).shift(2 * k * (k - 1)) if k else bracket
-    return (pref * term).truncate(order)
-
-
 def _p2k_formula(k: int, n: int):
     """Reference asymptotic form of the k-th summand coefficient."""
     mu = 1 + mpmath.sqrt(2)
@@ -412,7 +399,7 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
 
         # (ii) per-summand comparison
         for k in range(3):
-            exact = coeff(_p2k_series(k, n_max), n_max)
+            exact = coeff(cf.gf_h1_middle_term(k, n_max), n_max)
             formula = _p2k_formula(k, n_max)
             reports.append(AsymptoticReport(
                 f"p2_summand_k{k}", "fit", _nstr(exact / mu**n_max, 8), digits,

@@ -91,13 +91,16 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.order is not None and args.suite in ("growth", "all"):
+        raise ValueError(f"--order does not apply to --suite {args.suite}")
+    order = 30 if args.order is None else args.order
     kwargs = {}
     if args.suite in ("kernel", "funceq"):
-        kwargs["order"] = args.order
+        kwargs["order"] = order
     elif args.suite == "closedform":
-        kwargs["order"] = max(args.order, 40)
+        kwargs["order"] = max(order, 40)
     elif args.suite == "interpretations":
-        kwargs["order"] = min(args.order, 30)
+        kwargs["order"] = min(order, 30)
     verdicts = suites.run_suite(args.suite, **kwargs)
     summary = suites.summarize(verdicts)
     _write(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.out)
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=tuple(suites.SUITES) + ("all",),
                    required=True)
-    p.add_argument("--order", type=_nonnegative_int, default=30)
+    p.add_argument("--order", type=_nonnegative_int)  # 30 when not given
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -1,21 +1,20 @@
-"""Explicit generating functions as truncated series, with comparators that
-cross-validate every closed form against the dynamic-programming counts.
+"""Explicit generating functions as truncated series.
 
-The walk counts are authoritative: whenever a printed closed form disagrees
-with enumeration, the comparator reports the exact coefficient differences
-and the package discrepancy ledger records which side is trusted.  Nothing
-here silently "fixes" a formula.
+Every closed form here is built exactly as printed; ``suites`` compares it
+against the dynamic-programming counts.  The walk counts are authoritative:
+whenever a printed closed form disagrees with enumeration, the verification
+suite reports the first differing coefficient and the package discrepancy
+ledger records which side is trusted.  Nothing here silently "fixes" a
+formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kernel
 from .errors import BudgetError
 from .series import TSeries, tpoly
-from .walks import WedgeModel, count_walks, weighted_gf
 
 GF_KINDS = (
     "free",
@@ -90,6 +89,14 @@ def alternating_theta(q: TSeries, order: int) -> TSeries:
     return acc.truncate(min(order, acc.order))
 
 
+def _ratio_theta_term(q: TSeries, n: int) -> TSeries:
+    """Term n of ratio_theta."""
+    u = q.shift(2 * n - 1)
+    bracket = (1 - u) / (1 + u)
+    # (q/t)^(2n) t^(2n^2) = q^(2n) t^(2n^2 - 2n)
+    return bracket * q.pow(2 * n).shift(2 * n * (n - 1)) if n else bracket
+
+
 def ratio_theta(q: TSeries, order: int) -> TSeries:
     """sum over n >= 0 of ((1 - t^(2n-1) q)/(1 + t^(2n-1) q)) (q/t)^(2n) t^(2n^2).
 
@@ -102,11 +109,7 @@ def ratio_theta(q: TSeries, order: int) -> TSeries:
     acc = TSeries.zero(order)
     n = 0
     while 2 * n * n + 2 * n * (vq - 1) <= order:
-        u = q.shift(2 * n - 1)
-        bracket = (1 - u) / (1 + u)
-        term = bracket * q.pow(2 * n).shift(2 * n * (n - 1)) if n else bracket
-        # (q/t)^(2n) t^(2n^2) = q^(2n) t^(2n^2 - 2n)
-        acc = acc + term
+        acc = acc + _ratio_theta_term(q, n)
         n += 1
     return acc.truncate(min(order, acc.order))
 
@@ -141,18 +144,33 @@ def gf_sym_g1(order: int) -> TSeries:
     return res.truncate(order)
 
 
+def _h1_factors(w: int) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+    """(q, pole, 1 - t^2, -q (1 - t^2) pole / t^2) at working order w, with
+    q the printed asymmetric Q; the last factor multiplies the ratio sum over
+    q in the middle solution piece."""
+    q = printed_q_asym(w)
+    pole = _pell_inverse(w)
+    one_m_t2 = tpoly({0: 1, 2: -1}, w)
+    return q, pole, one_m_t2, -(q * one_m_t2 * pole).shift(-2)
+
+
 def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries]:
     """The three summands of the asymmetric horizontal-ending solution."""
     w = order + 8
-    pole = _pell_inverse(w)
-    one_m_t2 = tpoly({0: 1, 2: -1}, w)
+    q, pole, one_m_t2, pref = _h1_factors(w)
     p1 = ((tpoly({0: 1, 1: -2, 2: 1}, w) - _sym_radical(w)) * pole
           * Fraction(1, 2))
-    q = printed_q_asym(w)
-    p2 = -(q * one_m_t2 * pole).shift(-2) * ratio_theta(q, w)
+    p2 = pref * ratio_theta(q, w)
     p = printed_p_asym(w)
     p3 = one_m_t2 * pole * ratio_theta(p, w)
     return p1.truncate(order), p2.truncate(order), p3.truncate(order)
+
+
+def gf_h1_middle_term(k: int, order: int) -> TSeries:
+    """Summand k of the middle piece of gf_h1_pieces (its sum over k is p2)."""
+    w = order + 8
+    q, _pole, _one_m_t2, pref = _h1_factors(w)
+    return (pref * _ratio_theta_term(q, k)).truncate(order)
 
 
 def gf_asym_h1(order: int) -> TSeries:
@@ -312,122 +330,3 @@ def gf_series(kind: str, order: int, a=Fraction(1), p: int = 1) -> TSeries:
     if kind == "H_aya_simplified":
         return gf_H_aya_simplified(a, order)
     raise ValueError(f"unknown generating-function kind {kind!r}")
-
-
-@dataclass
-class ComparisonReport:
-    name: str
-    params: dict = field(default_factory=dict)
-    first_mismatch: int | None = None
-    diffs: list = field(default_factory=list)
-    note: str = ""
-    expected_mismatch: bool = False
-
-    @property
-    def agree(self) -> bool:
-        return self.first_mismatch is None
-
-
-def compare_series(name: str, lhs: TSeries, rhs: TSeries, upto: int,
-                   max_diffs: int = 8, **kw) -> ComparisonReport:
-    rep = ComparisonReport(name, **kw)
-    lo = min(v for v in (lhs.valuation, rhs.valuation, 0) if v is not None)
-    for k in range(lo, upto + 1):
-        l, r = lhs.coeff(k), rhs.coeff(k)
-        if l != r:
-            if rep.first_mismatch is None:
-                rep.first_mismatch = k
-            if len(rep.diffs) < max_diffs:
-                rep.diffs.append((k, str(l), str(r)))
-    return rep
-
-
-def compare_with_counts(name: str, series: TSeries, counts: list[int],
-                        upto: int, **kw) -> ComparisonReport:
-    rhs = TSeries.from_dict({n: c for n, c in enumerate(counts[: upto + 1])}, upto)
-    return compare_series(name, series.truncate(min(upto, series.order)), rhs,
-                          upto, **kw)
-
-
-def solution_identities(a, order: int) -> list[ComparisonReport]:
-    """Cross-checks of the boundary-specialized solutions at rational a.
-
-    (i)   the symmetric alternating-sum form of F(a, t*a) against the
-          enumeration series;
-    (ii)  the simplified asymmetric sum for H(a, t*a) against enumeration;
-    (iii) the raw coefficient-ladder sum against the simplified form, and
-          the printed term-by-term expression against the simplified form
-          (the latter disagrees as printed; reported, ledgered).
-    """
-    a = Fraction(a)
-    dp_order = min(order, 40)
-    reports = []
-
-    wsym = weighted_gf("symmetric", 1, dp_order)
-    reports.append(compare_series(
-        "F(a,ta) alternating sum vs enumeration",
-        gf_F_aya(a, dp_order), wsym.series_lower(a), dp_order,
-        params={"a": a}))
-
-    wasym = weighted_gf("asymmetric", 1, dp_order)
-    simplified = gf_H_aya_simplified(a, dp_order)
-    reports.append(compare_series(
-        "H(a,ta) simplified sum vs enumeration",
-        simplified, wasym.series_lower(a), dp_order,
-        params={"a": a}))
-
-    reports.append(compare_series(
-        "H(a,ta) raw coefficient ladder vs simplified",
-        kernel.raw_iterated_sum(a, min(order, 24)),
-        simplified.truncate(min(order, 24)), min(order, 24),
-        params={"a": a}))
-
-    reports.append(compare_series(
-        "H(a,ta) printed term-by-term expression vs simplified",
-        gf_H_aya_raw(a, min(order, 24)),
-        simplified.truncate(min(order, 24)), min(order, 24),
-        params={"a": a},
-        expected_mismatch=True,
-        note="the printed expression expands to a Laurent series of "
-             "valuation -1; enumeration and the simplified sum are trusted"))
-    return reports
-
-
-def interpretation_comparators(order: int = 20) -> list[ComparisonReport]:
-    """Report-only comparisons of Q and P against single-boundary walk series,
-    and of the printed half-plane closed form against enumeration.
-
-    These interpretations are stated without proof and disagree at low order
-    as printed; the comparators emit exact diffs and never assert.
-    """
-    reports = []
-    t3 = TSeries.t_power(3, order)
-
-    flat = count_walks(WedgeModel("boundary_flat", 1), order)
-    b_minus = TSeries.from_dict({n: c for n, c in enumerate(flat.counts)}, order)
-    reports.append(compare_series(
-        "Q_asym(1) vs t^3 (B_flat - 1)",
-        kernel.q_asym(1, order), t3 * (b_minus - 1), order,
-        expected_mismatch=True,
-        note="single-vertex walk contributes the constant term 1 of the "
-             "B series; the identity uses B - 1, so the constant cancels. "
-             "Coefficients still differ from t^6 on; enumeration trusted."))
-
-    diag = count_walks(WedgeModel("boundary_diag", 1), order)
-    b_diag = TSeries.from_dict({n: c for n, c in enumerate(diag.counts)}, order)
-    reports.append(compare_series(
-        "P(1) vs t^3 (B_diag - 1)",
-        kernel.p_asym(1, order), t3 * (b_diag - 1), order,
-        expected_mismatch=True,
-        note="with the t^2-normalized P (the form in the final walk series) "
-             "the valuations already differ; the undivided composition "
-             "Q(alpha_1(b)) matches the valuation but differs from t^7 on."))
-
-    half = count_walks(WedgeModel("halfplane", 1), order)
-    reports.append(compare_with_counts(
-        "half-plane printed closed form vs enumeration",
-        gf_halfplane_printed(order), half.counts, order,
-        expected_mismatch=True,
-        note="printed formula is Laurent of valuation -2 (numerator has "
-             "constant term -2); enumeration counts 1,2,4,9,20,... trusted"))
-    return reports

@@ -111,16 +111,15 @@ def explain(entry_id: str) -> str:
         series = gf_halfplane_printed(5)
         lines.append("  enumeration counts 0..5: " + ", ".join(map(str, counts)))
         lines.append(f"  printed-formula expansion: {series}")
-    elif entry_id == "flat-boundary-interpretation":
-        from .closedforms import interpretation_comparators
-        rep = interpretation_comparators(12)[0]
-        lines.append(f"  first mismatch at t^{rep.first_mismatch}; diffs "
-                     f"(order, series, walks): {rep.diffs}")
-    elif entry_id == "diag-boundary-interpretation":
-        from .closedforms import interpretation_comparators
-        rep = interpretation_comparators(12)[1]
-        lines.append(f"  first mismatch at t^{rep.first_mismatch}; diffs "
-                     f"(order, series, walks): {rep.diffs}")
+    elif entry_id in ("flat-boundary-interpretation", "diag-boundary-interpretation"):
+        from .suites import interpretation_identities
+        index = 0 if entry_id.startswith("flat") else 1
+        _identity, lhs, rhs, _note = interpretation_identities(12)[index]
+        res = lhs - rhs
+        diffs = [(k, str(lhs.coeff(k)), str(rhs.coeff(k)))
+                 for k in range(res.valuation, res.order + 1) if res.coeff(k)][:8]
+        lines.append(f"  first mismatch at t^{res.valuation}; diffs "
+                     f"(order, series, walks): {diffs}")
     elif entry_id == "term-by-term-solution":
         from .closedforms import gf_H_aya_raw, gf_H_aya_simplified
         lines.append(f"  printed expression: {gf_H_aya_raw(1, 5)}")

@@ -4,10 +4,3 @@
 class BudgetError(RuntimeError):
     """A requested computation exceeds the documented resource budget."""
 
-
-class ConsistencyError(AssertionError):
-    """Two independently computed forms of the same quantity disagree.
-
-    Raised only for identities that must hold exactly; a failure signals a
-    transcription or implementation bug, never bad data.
-    """

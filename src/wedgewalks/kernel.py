@@ -12,15 +12,18 @@ The kernel form of the column-construction equation is
 
 where f(a, t*a) re-weights walks whose endpoint sits on the lower boundary
 line and f(t*b, b) those on the upper one.
+
+The identity helpers (``group_law_check``, ``mixed_inverse_check``,
+``script_coeffs``, the ``residual_*`` functions) return only the series to
+compare or the residuals that must vanish; ``suites`` turns them into
+verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import ConsistencyError
 from .series import TSeries
 
 Arg = Union[int, Fraction, TSeries]
@@ -102,12 +105,17 @@ def _quad_sym(a: TSeries, t: TSeries) -> tuple[TSeries, TSeries, TSeries]:
 
 # -- roots (p = 1) ----------------------------------------------------------
 
-def _root_sym(a: TSeries, sign: int, order: int) -> TSeries:
+def _root_quadratic(m: TSeries, c: TSeries, sign: int, order: int) -> TSeries:
+    """m (1 + t^2 + sign sqrt((1-t^2)(1-t^2-4t^2 c))) / (2t (1 + c (1-t^2))).
+
+    The symmetric beta roots take m = a, c = a^2; the asymmetric alpha
+    roots take m = c = b.
+    """
     t = tvar(order)
-    rad = (1 - t * t) * (1 - t * t - 4 * (t * t) * (a * a))
+    rad = (1 - t * t) * (1 - t * t - 4 * (t * t) * c)
     s = rad.sqrt()
-    num = a * (1 + t * t + sign * s) * Fraction(1, 2)
-    den = t * (1 + a * a * (1 - t * t))
+    num = m * (1 + t * t + sign * s) * Fraction(1, 2)
+    den = t * (1 + c * (1 - t * t))
     return num / den
 
 
@@ -118,15 +126,6 @@ def _root_asym_b(a: TSeries, sign: int, order: int) -> TSeries:
     s = rad.sqrt()
     bracket = 1 + t * t - t * (1 - t * t) * a + sign * s
     return a * bracket / (2 * t)
-
-
-def _root_asym_a(b: TSeries, sign: int, order: int) -> TSeries:
-    t = tvar(order)
-    rad = (1 - t * t) * (1 - t * t - 4 * (t * t) * b)
-    s = rad.sqrt()
-    num = b * (1 + t * t + sign * s) * Fraction(1, 2)
-    den = t * (1 + b * (1 - t * t))
-    return num / den
 
 
 def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
@@ -146,11 +145,11 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
         raise ValueError("alpha roots exist for the asymmetric model only")
     sign = -1 if which.endswith("-") else +1
     if kind == "symmetric":
-        res = _root_sym(s, sign, w)
+        res = _root_quadratic(s, s * s, sign, w)
     elif which.startswith("beta"):
         res = _root_asym_b(s, sign, w)
     else:
-        res = _root_asym_a(s, sign, w)
+        res = _root_quadratic(s, s, sign, w)
     if s.valuation is not None and s.valuation >= 0:
         want = s.valuation + (1 if sign < 0 else -1)
         if res.valuation != want:
@@ -167,13 +166,6 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
 
 
 # -- iterated compositions ---------------------------------------------------
-
-@dataclass(frozen=True)
-class IteratedRoot:
-    n: int
-    closed_form: TSeries
-    composed_form: TSeries
-
 
 def _tpoly_acc(terms: list[tuple[int, int]], order: int) -> TSeries:
     """Laurent polynomial from (exponent, coefficient) pairs, exponents may repeat."""
@@ -224,17 +216,6 @@ def beta_composed(n: int, a: Arg, order: int) -> TSeries:
     return cur.truncate(order)
 
 
-def beta_iterate(n: int, a: Arg, order: int) -> IteratedRoot:
-    closed = beta_closed(n, a, order)
-    composed = beta_composed(n, a, order)
-    bad = closed.first_difference(composed)
-    if bad is not None:
-        raise ConsistencyError(
-            f"beta_{n} closed and composed forms differ first at t^{bad}"
-        )
-    return IteratedRoot(n, closed, composed)
-
-
 def gamma_composed(n: int, a: Arg, order: int) -> TSeries:
     w = order + 4 * n + 12
     cur = as_series(a, w)
@@ -264,83 +245,64 @@ def beta_of_gamma_closed_inverse(n: int, a: Arg, order: int) -> TSeries:
     return (num / den).truncate(order)
 
 
-def gamma_iterate(n: int, a: Arg, order: int) -> IteratedRoot:
+def gamma_closed(n: int, a: Arg, order: int) -> TSeries:
+    """gamma_n(a) from its closed-form reciprocal, asymmetric model."""
     if n < 0:
         raise ValueError("gamma compositions are defined for n >= 0")
-    closed = gamma_closed_inverse(n, a, order + 4 * n + 8).inverse().truncate(order)
-    composed = gamma_composed(n, a, order)
-    bad = closed.first_difference(composed)
-    if bad is not None:
-        raise ConsistencyError(
-            f"gamma_{n} closed and composed forms differ first at t^{bad}"
-        )
-    return IteratedRoot(n, closed, composed)
+    return gamma_closed_inverse(n, a, order + 4 * n + 8).inverse().truncate(order)
 
 
-def group_law_check(n: int, a: Arg, order: int) -> dict:
+def group_law_check(n: int, a: Arg, order: int) -> list[tuple[str, tuple[TSeries, ...]]]:
     """Group structure of the symmetric root compositions.
 
-    Checks, all mod t^(order+1):
+    Returns (identity, residuals) pairs; an identity holds mod t^(order+1)
+    when each of its residuals vanishes there:
       * ladder: K(beta_m, beta_{m+1}) = 0 for -|n| <= m < |n| using the
         closed forms;
       * beta_{-1}(beta_1(a)) = a by direct composition;
       * the two roots of K(beta_{-1}(a), .) are exactly a and beta_{-2}(a)
-        (the computable form of beta_1(beta_{-1}(a)) = a);
+        (the computable form of beta_1(beta_{-1}(a)) = a), as the residuals
+        of their sum and product;
       * the three-term reciprocal recurrence at index n.
     """
     m_hi = abs(n)
     w = order + 2 * m_hi + 12
-    checks: list[tuple[str, int | None]] = []
+    t = tvar(w)
+    checks = []
 
     ladder = {m: beta_closed(m, a, w) for m in range(-m_hi, m_hi + 1)}
     for m in range(-m_hi, m_hi):
         k = kernel_coeffs("symmetric", 1, ladder[m], ladder[m + 1], w).kernel
-        bad = None if k.is_zero() else k.valuation
-        checks.append((f"K(beta_{m}, beta_{m+1}) = 0", bad))
+        checks.append((f"K(beta_{m}, beta_{m+1}) = 0", (k,)))
 
     b1 = root("symmetric", "beta-", as_series(a, w), w)
     back = root("symmetric", "beta+", b1, b1.order)
-    diff = back - as_series(a, back.order)
-    checks.append(("beta_-1(beta_1(a)) = a", None if diff.is_zero() else diff.valuation))
+    checks.append(("beta_-1(beta_1(a)) = a", (back - as_series(a, back.order),)))
 
     if m_hi >= 1:
-        t = tvar(w)
-        bm1 = ladder[-1]
         bm2 = beta_closed(-2, a, w)
-        qa, qb, qc = _quad_sym(bm1, t)
-        sum_ok = qb + qa * (as_series(a, w) + bm2)
-        prod_ok = qc - qa * as_series(a, w) * bm2
-        checks.append(("roots of K(beta_-1, .) are {a, beta_-2}",
-                       None if sum_ok.is_zero() and prod_ok.is_zero()
-                       else (sum_ok + prod_ok).valuation))
+        qa, qb, qc = _quad_sym(ladder[-1], t)
+        sum_res = qb + qa * (as_series(a, w) + bm2)
+        prod_res = qc - qa * as_series(a, w) * bm2
+        checks.append(("roots of K(beta_-1, .) are {a, beta_-2}", (sum_res, prod_res)))
 
-    if abs(n) >= 2:
-        t = tvar(w)
+    if m_hi >= 2:
         lhs = _beta_closed_inverse(n, a, w)
         rhs = ((1 + t * t) / t) * _beta_closed_inverse(n - 1, a, w) \
             - _beta_closed_inverse(n - 2, a, w)
-        diff = lhs - rhs
-        checks.append((f"three-term recurrence at n={n}",
-                       None if diff.is_zero() else diff.valuation))
-
-    ok = all(bad is None for _name, bad in checks)
-    return {"ok": ok, "checks": checks}
+        checks.append((f"three-term recurrence at n={n}", (lhs - rhs,)))
+    return checks
 
 
-def mixed_inverse_check(a: Arg, b: Arg, order: int) -> dict:
-    """alpha_1(beta_-1(a)) = a and beta_1(alpha_-1(b)) = b (asymmetric)."""
+def mixed_inverse_check(a: Arg, b: Arg, order: int) -> tuple[TSeries, TSeries]:
+    """Residuals of alpha_1(beta_-1(a)) = a and beta_1(alpha_-1(b)) = b
+    (asymmetric)."""
     w = order + 10
     bm = root("asymmetric", "beta+", as_series(a, w), w)
-    lhs1 = _root_asym_a(bm, -1, bm.order)
-    d1 = lhs1 - as_series(a, lhs1.order)
+    lhs1 = _root_quadratic(bm, bm, -1, bm.order)
     am = root("asymmetric", "alpha+", as_series(b, w), w)
     lhs2 = _root_asym_b(am, -1, am.order)
-    d2 = lhs2 - as_series(b, lhs2.order)
-    return {
-        "ok": d1.is_zero() and d2.is_zero(),
-        "alpha_of_beta_bad": None if d1.is_zero() else d1.valuation,
-        "beta_of_alpha_bad": None if d2.is_zero() else d2.valuation,
-    }
+    return lhs1 - as_series(a, lhs1.order), lhs2 - as_series(b, lhs2.order)
 
 
 # -- the Q / Qbar / P series -------------------------------------------------
@@ -449,13 +411,14 @@ def _raw_quotients(n: int, a: Arg, w: int) -> tuple[TSeries, ...]:
             c2.free_term / c2.upper, c2.lower / c2.upper)
 
 
-def script_coeffs(n: int, a: Arg, order: int) -> dict:
-    """The coefficient sextuple of the asymmetric iteration at depth n.
+def script_coeffs(n: int, a: Arg, order: int) -> list[tuple[str, TSeries, TSeries]]:
+    """The coefficient identities of the asymmetric iteration at depth n.
 
-    Evaluates the raw quotients of (X, Y, Z) at the composed roots, the
-    intermediate ratio forms, and the simplified closed forms, and verifies
-    that they all agree mod t^(order+1).  Any mismatch raises, since these
-    are exact identities.
+    Evaluates the raw quotients X_n .. A_n of (X, Y, Z) at the composed
+    roots, B_n = X_n + Y_n Z_n and C_n = Y_n A_n, their intermediate ratio
+    forms and simplified closed forms, and the useful expressions and ratios
+    of the closed-form reciprocals.  Returns the 15 (identity, lhs, rhs)
+    triples, each of which must agree mod t^(order+1).
     """
     w = order + 4 * (n + 1) + 16
     t = tvar(w)
@@ -497,7 +460,7 @@ def script_coeffs(n: int, a: Arg, order: int) -> dict:
          (g_n1 - t * bg) / (g_n * g_n1), (t * t) * (t + qn2)),
     ]
 
-    pairs = [
+    return [
         ("X_n raw = ratio form", x_n, x_mid),
         ("Y_n raw = ratio form", y_n, y_mid),
         ("Z_n raw = ratio form", z_n, z_mid),
@@ -505,25 +468,7 @@ def script_coeffs(n: int, a: Arg, order: int) -> dict:
         ("X_n = (x + t^(2n-2) Q)/x", x_n, x_simpl),
         ("B_n = (x + t^(2n-2) Q)(x - t^2n Q)/x^2", b_n, b_simpl),
         ("C_n = (g_n+1/g_n) t^(4n-2) Q^2", c_n, c_simpl),
-    ]
-    pairs += [(name, lhs, rhs) for name, lhs, rhs in useful]
-    pairs += [(name, lhs, rhs) for name, lhs, rhs in ratios]
-
-    for name, lhs, rhs in pairs:
-        bad = lhs.truncate(min(lhs.order, order)).first_difference(
-            rhs.truncate(min(rhs.order, order)))
-        if bad is not None:
-            raise ConsistencyError(f"script coefficient identity failed: {name} "
-                                   f"(first difference at t^{bad})")
-    return {
-        "X": x_n.truncate(order),
-        "Y": y_n.truncate(order),
-        "Z": z_n.truncate(order),
-        "A": a_n.truncate(order),
-        "B": b_n.truncate(order),
-        "C": c_n.truncate(order),
-        "checked": [name for name, _l, _r in pairs],
-    }
+    ] + useful + ratios
 
 
 def raw_iterated_sum(a: Arg, order: int) -> TSeries:

@@ -1,8 +1,10 @@
 """Named verification suites with machine-readable verdicts.
 
-Each suite returns a list of Verdicts; a run is clean when no verdict has
-status "fail".  Comparisons covered by the discrepancy ledger report instead
-of failing.
+This module is the one place where a compared pair of series, or a residual
+that must vanish, becomes a Verdict: ``kernel`` and ``closedforms`` only
+build the series.  Each suite returns a list of Verdicts; a run is clean when
+no verdict has status "fail".  Comparisons covered by the discrepancy ledger
+report instead of failing.
 """
 
 from __future__ import annotations
@@ -39,18 +41,90 @@ class Verdict:
         }
 
 
-def _zero_check(suite: str, identity: str, series: TSeries, order: int,
-                **params) -> Verdict:
-    bad = None if series.is_zero() else series.valuation
-    return Verdict(suite, identity, params, order,
-                   "pass" if bad is None else "fail", bad)
+def _first_bad(order: int, *residuals: TSeries) -> int | None:
+    """Smallest exponent <= order at which a residual is nonzero, or None.
+
+    Each residual covers only the coefficients it knows reliably, so the
+    window compared is its valuation .. min(order, residual.order).
+    """
+    return min((r.valuation for r in residuals
+                if not r.is_zero() and r.valuation <= order), default=None)
 
 
-def _same_check(suite: str, identity: str, lhs: TSeries, rhs: TSeries,
-                order: int, **params) -> Verdict:
-    bad = lhs.first_difference(rhs)
-    return Verdict(suite, identity, params, order,
-                   "pass" if bad is None else "fail", bad)
+def _verdict(suite: str, identity: str, order: int, *residuals: TSeries,
+             ledger_note: str = "", **params) -> Verdict:
+    """The verdict on residuals that must all vanish mod t^(order+1).
+
+    A mismatch on an identity the discrepancy ledger covers (non-empty
+    ``ledger_note``) is "reported", otherwise it is a "fail".
+    """
+    bad = _first_bad(order, *residuals)
+    status = "pass" if bad is None else "reported" if ledger_note else "fail"
+    return Verdict(suite, identity, params, order, status, bad, ledger_note)
+
+
+def _count_series(counts: list[int], order: int) -> TSeries:
+    return TSeries.from_dict(dict(enumerate(counts[: order + 1])), order)
+
+
+def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str]]:
+    """(identity, lhs, rhs, ledger note) for the boundary-specialized
+    solutions at rational a.
+
+    (i)   the symmetric alternating-sum form of F(a, t*a) against the
+          enumeration series;
+    (ii)  the simplified asymmetric sum for H(a, t*a) against enumeration;
+    (iii) the raw coefficient-ladder sum against the simplified form, and
+          the printed term-by-term expression against the simplified form
+          (the latter disagrees as printed; reported, ledgered).
+    """
+    a = Fraction(a)
+    dp_order = min(order, 40)
+    short = min(order, 24)
+    simplified = cf.gf_H_aya_simplified(a, dp_order)
+    return [
+        ("F(a,ta) alternating sum vs enumeration", cf.gf_F_aya(a, dp_order),
+         weighted_gf("symmetric", 1, dp_order).series_lower(a), ""),
+        ("H(a,ta) simplified sum vs enumeration", simplified,
+         weighted_gf("asymmetric", 1, dp_order).series_lower(a), ""),
+        ("H(a,ta) raw coefficient ladder vs simplified",
+         kernel.raw_iterated_sum(a, short), simplified.truncate(short), ""),
+        ("H(a,ta) printed term-by-term expression vs simplified",
+         cf.gf_H_aya_raw(a, short), simplified.truncate(short),
+         "the printed expression expands to a Laurent series of "
+         "valuation -1; enumeration and the simplified sum are trusted"),
+    ]
+
+
+def interpretation_identities(order: int = 20) -> list[tuple[str, TSeries, TSeries, str]]:
+    """(identity, lhs, rhs, ledger note) comparing Q and P against
+    single-boundary walk series, and the printed half-plane closed form
+    against enumeration.
+
+    These interpretations are stated without proof and disagree at low order
+    as printed; every one is ledgered, so a mismatch is reported, never
+    failed.
+    """
+    t3 = TSeries.t_power(3, order)
+    flat = count_walks(WedgeModel("boundary_flat", 1), order)
+    diag = count_walks(WedgeModel("boundary_diag", 1), order)
+    half = count_walks(WedgeModel("halfplane", 1), order)
+    return [
+        ("Q_asym(1) vs t^3 (B_flat - 1)", kernel.q_asym(1, order),
+         t3 * (_count_series(flat.counts, order) - 1),
+         "single-vertex walk contributes the constant term 1 of the "
+         "B series; the identity uses B - 1, so the constant cancels. "
+         "Coefficients still differ from t^6 on; enumeration trusted."),
+        ("P(1) vs t^3 (B_diag - 1)", kernel.p_asym(1, order),
+         t3 * (_count_series(diag.counts, order) - 1),
+         "with the t^2-normalized P (the form in the final walk series) "
+         "the valuations already differ; the undivided composition "
+         "Q(alpha_1(b)) matches the valuation but differs from t^7 on."),
+        ("half-plane printed closed form vs enumeration",
+         cf.gf_halfplane_printed(order), _count_series(half.counts, order),
+         "printed formula is Laurent of valuation -2 (numerator has "
+         "constant term -2); enumeration counts 1,2,4,9,20,... trusted"),
+    ]
 
 
 def suite_kernel(order: int = 40) -> list[Verdict]:
@@ -63,94 +137,88 @@ def suite_kernel(order: int = 40) -> list[Verdict]:
                 r = kernel.root(kind, which, a, order)
                 k = kernel.kernel_coeffs(kind, 1, TSeries.constant(a, r.order),
                                          r, r.order).kernel
-                out.append(_zero_check("kernel", f"K(a, {which}(a)) = 0", k,
-                                       order, model=kind, a=a))
+                out.append(_verdict("kernel", f"K(a, {which}(a)) = 0", order, k,
+                                    model=kind, a=a))
         if kind == "asymmetric":
             for b in args[1:4]:
                 r = kernel.root(kind, "alpha-", b, order)
                 k = kernel.kernel_coeffs(kind, 1, r,
                                          TSeries.constant(b, r.order),
                                          r.order).kernel
-                out.append(_zero_check("kernel", "K(alpha-(b), b) = 0", k,
-                                       order, model=kind, b=b))
+                out.append(_verdict("kernel", "K(alpha-(b), b) = 0", order, k,
+                                    model=kind, b=b))
 
     # reduced p=1 quadruple equals the general-p system
     for a, b in ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 3)),
                  (Fraction(2), Fraction(3, 5))):
         lhs = kernel.kernel_p1_printed(a, b, order)
         rhs = kernel.kernel_coeffs("symmetric", 1, a, b, order).kernel
-        out.append(_same_check("kernel", "printed p=1 kernel = general-p kernel",
-                               lhs, rhs, order, a=a, b=b))
+        out.append(_verdict("kernel", "printed p=1 kernel = general-p kernel",
+                            order, lhs - rhs, a=a, b=b))
 
     # symmetric-model symmetries: K(a,b) = K(b,a), X(a,b) = X(b,a), Y(a,b) = Z(b,a)
     for p in (1, 2, 3):
         for a, b in ((Fraction(1), Fraction(1, 2)), (Fraction(2, 3), Fraction(3, 5))):
             ab = kernel.kernel_coeffs("symmetric", p, a, b, order)
             ba = kernel.kernel_coeffs("symmetric", p, b, a, order)
-            out.append(_same_check("kernel", "K(a,b) = K(b,a)", ab.kernel,
-                                   ba.kernel, order, p=p, a=a, b=b))
-            out.append(_same_check("kernel", "X(a,b) = X(b,a)", ab.free_term,
-                                   ba.free_term, order, p=p, a=a, b=b))
-            out.append(_same_check("kernel", "Y(a,b) = Z(b,a)", ab.lower,
-                                   ba.upper, order, p=p, a=a, b=b))
+            out.append(_verdict("kernel", "K(a,b) = K(b,a)", order,
+                                ab.kernel - ba.kernel, p=p, a=a, b=b))
+            out.append(_verdict("kernel", "X(a,b) = X(b,a)", order,
+                                ab.free_term - ba.free_term, p=p, a=a, b=b))
+            out.append(_verdict("kernel", "Y(a,b) = Z(b,a)", order,
+                                ab.lower - ba.upper, p=p, a=a, b=b))
 
     # X has the vanishing factor b - t*a
-    w = order
-    ta = TSeries.t_power(1, w, Fraction(1, 2))
-    x_at = kernel.kernel_coeffs("symmetric", 2, Fraction(1, 2), ta, w).free_term
-    out.append(_zero_check("kernel", "X(a, t*a) = 0", x_at, order, p=2))
+    ta = TSeries.t_power(1, order, Fraction(1, 2))
+    x_at = kernel.kernel_coeffs("symmetric", 2, Fraction(1, 2), ta, order).free_term
+    out.append(_verdict("kernel", "X(a, t*a) = 0", order, x_at, p=2))
 
     # iterated compositions: closed = composed
+    o = min(order, 30)
+    a = Fraction(1, 2)
     for n in range(-2, 7):
-        it = kernel.beta_iterate(n, Fraction(1, 2), min(order, 30))
-        out.append(_same_check("kernel", f"beta_{n} closed = composed",
-                               it.closed_form, it.composed_form, min(order, 30),
-                               a=Fraction(1, 2)))
+        out.append(_verdict("kernel", f"beta_{n} closed = composed", o,
+                            kernel.beta_closed(n, a, o) - kernel.beta_composed(n, a, o),
+                            a=a))
+    a = Fraction(1)
     for n in range(0, 5):
-        it = kernel.gamma_iterate(n, Fraction(1), min(order, 30))
-        out.append(_same_check("kernel", f"gamma_{n} closed = composed",
-                               it.closed_form, it.composed_form, min(order, 30),
-                               a=1))
+        out.append(_verdict("kernel", f"gamma_{n} closed = composed", o,
+                            kernel.gamma_closed(n, a, o) - kernel.gamma_composed(n, a, o),
+                            a=a))
 
     # group structure
+    o = min(order, 25)
     for n, a in ((1, Fraction(1)), (3, Fraction(1, 2)), (5, Fraction(2, 3))):
-        res = kernel.group_law_check(n, a, min(order, 25))
-        for name, bad in res["checks"]:
-            out.append(Verdict("kernel", name, {"n": n, "a": a}, min(order, 25),
-                               "pass" if bad is None else "fail", bad))
-    mixed = kernel.mixed_inverse_check(Fraction(1, 2), Fraction(1, 3), min(order, 25))
-    out.append(Verdict("kernel", "alpha_1(beta_-1(a)) = a and beta_1(alpha_-1(b)) = b",
-                       {"a": Fraction(1, 2), "b": Fraction(1, 3)}, min(order, 25),
-                       "pass" if mixed["ok"] else "fail"))
+        for name, residuals in kernel.group_law_check(n, a, o):
+            out.append(_verdict("kernel", name, o, *residuals, n=n, a=a))
+    a, b = Fraction(1, 2), Fraction(1, 3)
+    out.append(_verdict("kernel", "alpha_1(beta_-1(a)) = a and beta_1(alpha_-1(b)) = b",
+                        o, *kernel.mixed_inverse_check(a, b, o), a=a, b=b))
 
     # Qbar * Q = t^3
     t3 = TSeries.t_power(3, order)
     for a in args[:5]:
         prod = kernel.qbar_asym(a, order) * kernel.q_asym(a, order)
-        out.append(_same_check("kernel", "Qbar(a) Q(a) = t^3",
-                               prod.truncate(min(order, prod.order)),
-                               t3.truncate(min(order, prod.order)),
-                               order, a=a))
+        out.append(_verdict("kernel", "Qbar(a) Q(a) = t^3", order, prod - t3, a=a))
 
     # printed specializations of Q and P
-    out.append(_same_check("kernel", "Q_sym(1) printed form",
-                           kernel.q_sym(1, order), cf.printed_q_sym(order), order))
-    out.append(_same_check("kernel", "Q_asym(1) printed form",
-                           kernel.q_asym(1, order), cf.printed_q_asym(order), order))
-    out.append(_same_check("kernel", "P(1) printed form",
-                           kernel.p_asym(1, order), cf.printed_p_asym(order), order))
+    out.append(_verdict("kernel", "Q_sym(1) printed form", order,
+                        kernel.q_sym(1, order) - cf.printed_q_sym(order)))
+    out.append(_verdict("kernel", "Q_asym(1) printed form", order,
+                        kernel.q_asym(1, order) - cf.printed_q_asym(order)))
+    out.append(_verdict("kernel", "P(1) printed form", order,
+                        kernel.p_asym(1, order) - cf.printed_p_asym(order)))
 
-    # script coefficient ladder (raises on mismatch; record as verdicts)
+    # script coefficient ladder: one verdict per depth over its 15 identities
+    a = Fraction(1, 2)
     for n in (0, 1, 2):
-        try:
-            res = kernel.script_coeffs(n, Fraction(1, 2), min(order, 25))
-            out.append(Verdict("kernel", f"script coefficients at depth {n}",
-                               {"a": Fraction(1, 2), "checked": len(res["checked"])},
-                               min(order, 25), "pass"))
-        except Exception as exc:  # ConsistencyError carries the identity name
-            out.append(Verdict("kernel", f"script coefficients at depth {n}",
-                               {"a": Fraction(1, 2)}, min(order, 25), "fail",
-                               note=str(exc)))
+        residuals = {name: lhs - rhs for name, lhs, rhs in kernel.script_coeffs(n, a, o)}
+        v = _verdict("kernel", f"script coefficients at depth {n}", o,
+                     *residuals.values(), a=a, checked=len(residuals))
+        if v.status == "fail":
+            v.note = "failed: " + "; ".join(
+                name for name, r in residuals.items() if _first_bad(o, r) is not None)
+        out.append(v)
     return out
 
 
@@ -163,11 +231,11 @@ def suite_funceq(order: int = 30) -> list[Verdict]:
             w = weighted_gf(kind, p, order)
             for a, b in points:
                 res = kernel.residual_functional_eq(kind, p, a, b, order, w)
-                out.append(_zero_check("funceq", "column-construction residual",
-                                       res, order, model=kind, p=p, a=a, b=b))
+                out.append(_verdict("funceq", "column-construction residual",
+                                    order, res, model=kind, p=p, a=a, b=b))
                 resk = kernel.residual_kernel_form(kind, p, a, b, order, w)
-                out.append(_zero_check("funceq", "kernel-form residual",
-                                       resk, order, model=kind, p=p, a=a, b=b))
+                out.append(_verdict("funceq", "kernel-form residual",
+                                    order, resk, model=kind, p=p, a=a, b=b))
     return out
 
 
@@ -175,58 +243,43 @@ def suite_closedform(order: int = 100) -> list[Verdict]:
     out = []
     vt = count_walks(WedgeModel("symmetric", 1), order)
     wt = count_walks(WedgeModel("asymmetric", 1), order)
-    ct = count_walks(WedgeModel("free", 1), min(order, 200))
+    free_order = min(order, 200)
+    ct = count_walks(WedgeModel("free", 1), free_order)
 
-    rep = cf.compare_with_counts("sym closed form vs counts",
-                                 cf.gf_sym_g1(order), vt.counts, order)
-    out.append(Verdict("closedform", rep.name, {}, order,
-                       "pass" if rep.agree else "fail", rep.first_mismatch))
-    rep = cf.compare_with_counts("asym closed form vs counts",
-                                 cf.gf_asym_k1(order), wt.counts, order)
-    out.append(Verdict("closedform", rep.name, {}, order,
-                       "pass" if rep.agree else "fail", rep.first_mismatch))
-    rep = cf.compare_with_counts("free closed form vs counts",
-                                 cf.gf_free(min(order, 200)), ct.counts,
-                                 min(order, 200))
-    out.append(Verdict("closedform", rep.name, {}, min(order, 200),
-                       "pass" if rep.agree else "fail", rep.first_mismatch))
+    out.append(_verdict("closedform", "sym closed form vs counts", order,
+                        cf.gf_sym_g1(order) - _count_series(vt.counts, order)))
+    out.append(_verdict("closedform", "asym closed form vs counts", order,
+                        cf.gf_asym_k1(order) - _count_series(wt.counts, order)))
+    out.append(_verdict("closedform", "free closed form vs counts", free_order,
+                        cf.gf_free(free_order) - _count_series(ct.counts, free_order)))
 
     # horizontal-ending relations
     w = min(order, 60)
     f1 = cf.gf_sym_f1(w)
     g1 = cf.gf_sym_g1(w)
     t = TSeries.t_power(1, w)
-    out.append(_zero_check("closedform", "f = 1 + t*g (symmetric)",
-                           f1 - 1 - t * g1, w))
-    wsym = weighted_gf("symmetric", 1, min(order, 40))
-    out.append(_same_check("closedform", "f1(1,1) = horizontal-ending counts",
-                           f1.truncate(min(order, 40)),
-                           wsym.series_at(1, 1), min(order, 40)))
-    h1 = cf.gf_asym_h1(min(order, 40))
-    wasym = weighted_gf("asymmetric", 1, min(order, 40))
-    out.append(_same_check("closedform", "h1(1,1) = horizontal-ending counts",
-                           h1, wasym.series_at(1, 1), min(order, 40)))
+    out.append(_verdict("closedform", "f = 1 + t*g (symmetric)", w, f1 - 1 - t * g1))
+    w = min(order, 40)
+    out.append(_verdict("closedform", "f1(1,1) = horizontal-ending counts", w,
+                        f1.truncate(w) - weighted_gf("symmetric", 1, w).series_at(1, 1)))
+    out.append(_verdict("closedform", "h1(1,1) = horizontal-ending counts", w,
+                        cf.gf_asym_h1(w) - weighted_gf("asymmetric", 1, w).series_at(1, 1)))
 
     # theta sums have the expected leading behavior
-    s = cf.theta_sum("sym", 1, 7)
-    out.append(_same_check("closedform", "alternating theta at the unit argument",
-                           s, TSeries.from_dict({0: 1, 4: -1, 6: -3}, 7), 7))
+    out.append(_verdict("closedform", "alternating theta at the unit argument", 7,
+                        cf.theta_sum("sym", 1, 7)
+                        - TSeries.from_dict({0: 1, 4: -1, 6: -3}, 7)))
 
-    for rep in cf.solution_identities(Fraction(1), min(order, 30)):
-        status = "pass" if rep.agree else ("reported" if rep.expected_mismatch
-                                           else "fail")
-        out.append(Verdict("closedform", rep.name, rep.params,
-                           min(order, 30), status, rep.first_mismatch, rep.note))
+    a, o = Fraction(1), min(order, 30)
+    for identity, lhs, rhs, note in solution_identities(a, o):
+        out.append(_verdict("closedform", identity, o, lhs - rhs,
+                            ledger_note=note, a=a))
     return out
 
 
 def suite_interpretations(order: int = 20) -> list[Verdict]:
-    out = []
-    for rep in cf.interpretation_comparators(order):
-        status = "pass" if rep.agree else ("reported" if rep.expected_mismatch
-                                           else "fail")
-        out.append(Verdict("interpretations", rep.name, rep.params, order,
-                           status, rep.first_mismatch, rep.note))
+    out = [_verdict("interpretations", identity, order, lhs - rhs, ledger_note=note)
+           for identity, lhs, rhs, note in interpretation_identities(order)]
     out.append(Verdict("interpretations", "B-series constant term convention",
                        {}, order, "reported", None,
                        "the single-vertex walk gives both boundary series the "
@@ -269,12 +322,10 @@ def suite_growth(n_max: int = 30, sandwich_n: int = 100) -> list[Verdict]:
 
     g = cf.gf_dyck(50)
     t = TSeries.t_power(1, 50)
-    out.append(_zero_check("growth", "dyck quadratic identity",
-                           g - 1 - t * g * g, 50))
+    out.append(_verdict("growth", "dyck quadratic identity", 50, g - 1 - t * g * g))
     for p in (1, 2, 3):
         _h, _g, res = cf.gf_bargraph(p, 40)
-        out.append(_zero_check("growth", "bargraph fixed-point residual",
-                               res, 40, p=p))
+        out.append(_verdict("growth", "bargraph fixed-point residual", 40, res, p=p))
     return out
 
 

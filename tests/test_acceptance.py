@@ -77,11 +77,15 @@ def test_criterion_04_kernel_and_composition_identities():
             if not k.is_zero():
                 failures.append(("root", kind, a))
     for n in range(7):
-        kernel.beta_iterate(n, Fraction(1, 2), 20)  # raises on mismatch
+        a = Fraction(1, 2)
+        if not kernel.beta_closed(n, a, 20).same(kernel.beta_composed(n, a, 20)):
+            failures.append(("beta", n))
     for n in range(5):
-        kernel.gamma_iterate(n, Fraction(1), 20)
-    if not kernel.group_law_check(1, Fraction(1), 30)["ok"]:
-        failures.append(("group-law",))
+        if not kernel.gamma_closed(n, 1, 20).same(kernel.gamma_composed(n, 1, 20)):
+            failures.append(("gamma", n))
+    for name, residuals in kernel.group_law_check(1, Fraction(1), 30):
+        if not all(r.is_zero() for r in residuals):
+            failures.append(("group-law", name))
     for a in kernel.SAMPLE_ARGS[:5]:
         prod = kernel.qbar_asym(a, 39) * kernel.q_asym(a, 39)
         if not prod.same(TSeries.t_power(3, prod.order)):

@@ -166,6 +166,8 @@ class TestExitCodes:
         (None, ["series", "--kind", "dyck", "--order", "-1"], 2),
         (None, ["count", "--model", "free", "--n", "-1"], 2),
         (None, ["verify", "--suite", "kernel", "--order", "-1"], 2),
+        (None, ["verify", "--suite", "growth", "--order", "5"], 2),
+        (None, ["verify", "--suite", "all", "--order", "5"], 2),
         (None, ["report", "--nmax", "-1"], 2),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else str(v))
     def test_bad_numbers_exit_without_traceback(self, env, argv, code):

@@ -1,13 +1,18 @@
-"""Closed-form series against enumeration, theta sums, and the comparators."""
+"""Closed-form series against enumeration, theta sums, and the identities
+that the verification suites compare."""
 
 from fractions import Fraction
 
 import pytest
 
 from wedgewalks import closedforms as cf
-from wedgewalks import kernel
+from wedgewalks import kernel, suites
 from wedgewalks.errors import BudgetError
 from wedgewalks.series import TSeries, tpoly
+
+
+def _count_series(table, order):
+    return TSeries.from_dict(dict(enumerate(table.counts[: order + 1])), order)
 
 
 class TestBasicFamilies:
@@ -24,21 +29,18 @@ class TestBasicFamilies:
 
     def test_free_matches_counts_to_200(self, tables):
         table = tables("free", 200)
-        rep = cf.compare_with_counts("free", cf.gf_free(200), table.counts, 200)
-        assert rep.agree
+        assert cf.gf_free(200).same(_count_series(table, 200))
 
     def test_sym_frozen(self):
         assert cf.gf_sym_g1(5).coeffs_upto(5) == [1, 1, 3, 5, 13, 27]
 
     def test_sym_matches_counts(self, tables):
         table = tables("symmetric", 60)
-        rep = cf.compare_with_counts("sym", cf.gf_sym_g1(60), table.counts, 60)
-        assert rep.agree
+        assert cf.gf_sym_g1(60).same(_count_series(table, 60))
 
     def test_asym_matches_counts(self, tables):
         table = tables("asymmetric", 60)
-        rep = cf.compare_with_counts("asym", cf.gf_asym_k1(60), table.counts, 60)
-        assert rep.agree
+        assert cf.gf_asym_k1(60).same(_count_series(table, 60))
 
     def test_horizontal_relation_symmetric(self):
         f1, g1 = cf.gf_sym_f1(40), cf.gf_sym_g1(40)
@@ -106,24 +108,24 @@ class TestHalfplane:
         assert s.valuation == -2
 
     def test_comparator_reports_expected_mismatch(self, tables):
-        reps = cf.interpretation_comparators(16)
-        by_name = {r.name: r for r in reps}
+        verdicts = suites.run_suite("interpretations", order=16)
+        by_name = {v.identity: v for v in verdicts}
         half = by_name["half-plane printed closed form vs enumeration"]
-        assert not half.agree and half.expected_mismatch
-        assert half.first_mismatch == -2
+        assert half.status == "reported"
+        assert half.first_bad_coefficient == -2
 
 
 class TestSolutionIdentities:
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2)])
     def test_boundary_specializations(self, a):
-        reps = cf.solution_identities(a, 25)
-        by_name = {r.name.split(" vs ")[0]: r for r in reps}
-        assert by_name["F(a,ta) alternating sum"].agree
-        assert by_name["H(a,ta) simplified sum"].agree
-        assert by_name["H(a,ta) raw coefficient ladder"].agree
-        printed = by_name["H(a,ta) printed term-by-term expression"]
-        assert not printed.agree and printed.expected_mismatch
-        assert printed.first_mismatch == -1
+        by_name = {name.split(" vs ")[0]: (lhs - rhs, note)
+                   for name, lhs, rhs, note in suites.solution_identities(a, 25)}
+        for name in ("F(a,ta) alternating sum", "H(a,ta) simplified sum",
+                     "H(a,ta) raw coefficient ladder"):
+            residual, note = by_name[name]
+            assert residual.is_zero() and not note, name
+        residual, note = by_name["H(a,ta) printed term-by-term expression"]
+        assert residual.valuation == -1 and note  # a ledgered mismatch
 
     def test_raw_expression_low_order_structure(self):
         # the printed expression's leading term reduces to
@@ -140,13 +142,13 @@ class TestSolutionIdentities:
 
 class TestInterpretations:
     def test_flat_boundary_diffs(self):
-        rep = cf.interpretation_comparators(12)[0]
-        assert rep.first_mismatch == 6
-        assert rep.diffs[0] == (6, "2", "1")
+        _name, lhs, rhs, _note = suites.interpretation_identities(12)[0]
+        assert (lhs - rhs).valuation == 6
+        assert (lhs.coeff(6), rhs.coeff(6)) == (2, 1)
 
     def test_diag_boundary_diffs(self):
-        rep = cf.interpretation_comparators(12)[1]
-        assert rep.first_mismatch == 3  # valuations differ: 3 vs 5
+        _name, lhs, rhs, _note = suites.interpretation_identities(12)[1]
+        assert (lhs - rhs).valuation == 3  # valuations differ: 3 vs 5
 
     def test_composed_normalization_closer_but_still_off(self, tables):
         # the undivided composition Q(alpha_1(1)) matches the valuation of
@@ -159,5 +161,8 @@ class TestInterpretations:
         assert composed.coeff(7) == 3 and rhs.coeff(7) == 2
 
     def test_reports_never_assert(self):
-        reps = cf.interpretation_comparators(14)
-        assert all(r.expected_mismatch for r in reps if not r.agree)
+        identities = suites.interpretation_identities(14)
+        assert all(note for _name, lhs, rhs, note in identities
+                   if not (lhs - rhs).is_zero())
+        verdicts = suites.run_suite("interpretations", order=14)
+        assert all(v.status != "fail" for v in verdicts)

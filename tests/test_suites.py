@@ -1,10 +1,13 @@
 """Verification suite registry."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
-from wedgewalks import suites
+from wedgewalks import cli, kernel, suites
+from wedgewalks.series import TSeries
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 30])
@@ -32,12 +35,62 @@ def test_growth_suite_clean():
     assert summary["clean"]
 
 
-def test_summary_is_json_and_deterministic():
-    a = json.dumps(suites.summarize(suites.run_suite("interpretations")),
-                   sort_keys=True)
-    b = json.dumps(suites.summarize(suites.run_suite("interpretations")),
-                   sort_keys=True)
+#: small arguments per suite, so that each runs twice in a few seconds
+_SMALL = {
+    "funceq": {"order": 8},
+    "closedform": {"order": 12},
+    "interpretations": {},
+    "growth": {"n_max": 8, "sandwich_n": 20},
+    "kernel": {"order": 4},
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL))
+def test_summary_is_json_and_deterministic(name):
+    a = json.dumps(suites.summarize(suites.run_suite(name, **_SMALL[name])), sort_keys=True)
+    b = json.dumps(suites.summarize(suites.run_suite(name, **_SMALL[name])), sort_keys=True)
     assert a == b
+
+
+@pytest.mark.parametrize("fn,n,k", [("beta_composed", 1, 4), ("gamma_composed", 2, 5)])
+def test_broken_identity_is_a_fail_verdict(monkeypatch, fn, n, k):
+    # add t^k to the n-th composition: the closed = composed verdict fails at t^k
+    original = getattr(kernel, fn)
+
+    def perturbed(m, a, order):
+        res = original(m, a, order)
+        return res + TSeries.t_power(k, res.order) if m == n else res
+
+    monkeypatch.setattr(kernel, fn, perturbed)
+    identity = f"{fn.split('_')[0]}_{n} closed = composed"
+    (verdict,) = [v for v in suites.run_suite("kernel", order=5) if v.identity == identity]
+    assert (verdict.status, verdict.first_bad_coefficient) == ("fail", k)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--suite", "kernel", "--order", "5"]) == cli.EXIT_VERIFY_FAIL
+
+
+def test_script_coefficient_failure_names_the_identity(monkeypatch):
+    t = TSeries.t_power(1, 30)
+    monkeypatch.setattr(kernel, "script_coeffs",
+                        lambda n, a, order: [("holds", t, t), ("breaks", t, t + t ** 3)])
+    verdicts = [v for v in suites.run_suite("kernel", order=5)
+                if v.identity.startswith("script coefficients")]
+    assert len(verdicts) == 3
+    for v in verdicts:
+        assert (v.status, v.first_bad_coefficient, v.note) == ("fail", 3, "failed: breaks")
+        assert v.parameters["checked"] == 2
+
+
+def test_first_bad_coefficient_is_the_smallest_over_residuals():
+    r = TSeries.t_power(3, 10)
+    # residuals that would cancel if they were summed still fail
+    v = suites._verdict("kernel", "two residuals", 10, r, -r, TSeries.t_power(5, 10))
+    assert (v.status, v.first_bad_coefficient) == ("fail", 3)
+    # a nonzero coefficient beyond the verdict's order is not compared
+    v = suites._verdict("kernel", "beyond the order", 10, TSeries.t_power(12, 20))
+    assert (v.status, v.first_bad_coefficient) == ("pass", None)
+    v = suites._verdict("kernel", "ledgered", 10, r, ledger_note="known")
+    assert (v.status, v.first_bad_coefficient, v.note) == ("reported", 3, "known")
 
 
 def test_unknown_suite_rejected():
