@@ -5,8 +5,8 @@ with exact decimal integers (JSON integers are string-encoded: counts near
 length 1000 have ~385 digits).  The same flags always produce byte-identical
 output.
 
-Exit codes: 0 success, 1 unexpected verification failure, 2 invalid flags,
-3 resource budget exceeded.
+Exit codes: 0 success, 1 unexpected verification failure or internal error,
+2 invalid flags, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -28,6 +28,16 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# kinds whose --a is a root argument, which must be nonzero
+_A_KINDS = ("theta_sym", "theta_asym_q", "theta_asym_p", "F_aya", "H_aya_raw",
+            "H_aya_simplified")
+# the smallest --nmax at which each asympt constant has data to fit
+_MIN_NMAX = {"A1A2": 60, "B0": 10, "halfplane": 10, "p-pieces": 2}
+
+
+class UsageError(Exception):
+    """Invalid flags found by the command line itself; the only exit 2 after parsing."""
 
 
 def _int_at_least(lo: int):
@@ -78,6 +88,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.kind in _A_KINDS and args.a == 0:
+        raise UsageError(f"--a must be nonzero for --kind {args.kind}")
     if args.kind == "weighted":
         w = weighted_gf(args.model, args.p, args.order)
         _write(w.to_json() + "\n", args.out)
@@ -92,7 +104,7 @@ def cmd_series(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.order is not None and args.suite in ("growth", "all"):
-        raise ValueError(f"--order does not apply to --suite {args.suite}")
+        raise UsageError(f"--order does not apply to --suite {args.suite}")
     order = 30 if args.order is None else args.order
     kwargs = {}
     if args.suite in ("kernel", "funceq"):
@@ -112,6 +124,9 @@ def cmd_asympt(args) -> int:
     reports = []
     extras: dict = {}
     want = args.const
+    need = max([n for c, n in _MIN_NMAX.items() if want in (c, "all")], default=0)
+    if args.nmax < need:
+        raise UsageError(f"--const {want} needs --nmax >= {need}")
 
     def need_counts(kind: str, n: int):
         return count_walks(WedgeModel(kind, 1), n)
@@ -181,8 +196,9 @@ def cmd_ledger(args) -> int:
     if args.action == "list":
         _write(discrepancies.listing() + "\n", args.out)
     else:
-        if not args.id:
-            raise argparse.ArgumentTypeError("explain needs --id")
+        known = [d.id for d in discrepancies.LEDGER]
+        if args.id not in known:
+            raise UsageError(f"explain needs --id, one of {', '.join(known)}")
         _write(discrepancies.explain(args.id) + "\n", args.out)
     return EXIT_OK
 
@@ -200,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact walk counts by length")
     p.add_argument("--model", choices=KINDS, required=True)
-    p.add_argument("--p", type=int, default=1, help="wedge slope")
+    p.add_argument("--p", type=_positive_int, default=1, help="wedge slope")
     p.add_argument("--n", type=_nonnegative_int, required=True,
                    help="maximum length")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -212,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_nonnegative_int, default=50)
     p.add_argument("--a", type=_fraction, default=Fraction(1),
                    help="rational argument for the parametrized kinds")
-    p.add_argument("--p", type=int, default=1)
+    p.add_argument("--p", type=_positive_int, default=1)
     p.add_argument("--model", choices=("symmetric", "asymmetric"),
                    default="symmetric", help="for --kind weighted")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -257,12 +273,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # an internal failure, never a usage error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from wedgewalks import cli
+from wedgewalks.asymptotics import AuditError
+from wedgewalks.series import SeriesError
 
 
 def run_main(*argv) -> tuple[int, str]:
@@ -169,6 +171,11 @@ class TestExitCodes:
         (None, ["verify", "--suite", "growth", "--order", "5"], 2),
         (None, ["verify", "--suite", "all", "--order", "5"], 2),
         (None, ["report", "--nmax", "-1"], 2),
+        (None, ["asympt", "--const", "A1A2", "--nmax", "30"], 2),
+        (None, ["asympt", "--const", "p-pieces", "--nmax", "1"], 2),
+        (None, ["series", "--kind", "theta_sym", "--a", "0"], 2),
+        (None, ["series", "--kind", "bargraph", "--p", "0"], 2),
+        (None, ["ledger", "explain"], 2),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else str(v))
     def test_bad_numbers_exit_without_traceback(self, env, argv, code):
         environ = {k: v for k, v in os.environ.items() if k != "WEDGEWALKS_DIGITS"}
@@ -181,6 +188,20 @@ class TestExitCodes:
         if code:
             assert len([ln for ln in proc.stderr.splitlines() if "error" in ln
                         or "exceeded" in ln]) == 1, proc.stderr
+
+    @pytest.mark.parametrize("module,name,error,argv", [
+        (cli.cf, "gf_series", SeriesError, ["series", "--kind", "dyck", "--order", "5"]),
+        (cli.asy, "root_audit", AuditError, ["asympt", "--const", "roots", "--kmax", "0"]),
+    ], ids=["SeriesError", "AuditError"])
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch, capsys,
+                                                 module, name, error, argv):
+        def broken(*args, **kwargs):
+            raise error("internal inconsistency")
+
+        monkeypatch.setattr(module, name, broken)
+        assert cli.main(argv) == cli.EXIT_VERIFY_FAIL
+        # one line, no traceback
+        assert capsys.readouterr().err == f"error: {error.__name__}: internal inconsistency\n"
 
     def test_budget_exceeded(self):
         code, _out = run_main("count", "--model", "free", "--n", "9999")

@@ -158,6 +158,101 @@ ORDER_OPS = {
 }
 
 
+# A plain-Fraction schoolbook reference: a series is (order, {exponent: coefficient}).
+
+def ref_val(x):
+    nonzero = [k for k, c in x[1].items() if c]
+    return min(nonzero) if nonzero else x[0] + 1  # zero is O(t**(order + 1))
+
+
+def ref_add(x, y):
+    order = min(x[0], y[0])
+    out = {k: x[1].get(k, 0) + y[1].get(k, 0) for k in {*x[1], *y[1]} if k <= order}
+    return order, out
+
+
+def ref_mul(x, y):
+    order = min(x[0] + ref_val(y), y[0] + ref_val(x))
+    out = {}
+    for i, xi in x[1].items():
+        for j, yj in y[1].items():
+            if i + j <= order:
+                out[i + j] = out.get(i + j, 0) + xi * yj
+    return order, out
+
+
+def ref_div(x, y):
+    vx, vy = ref_val(x), ref_val(y)
+    order, lo = min(x[0] - vy, y[0] + vx - 2 * vy), vx - vy
+    q = {}
+    for k in range(lo, order + 1):
+        rest = sum(y[1].get(vy + j, 0) * q[k - j] for j in range(1, k - lo + 1))
+        q[k] = (x[1].get(k + vy, 0) - rest) / y[1][vy]
+    return order, q
+
+
+def ref_pow(x, e):
+    if e < 0:
+        return ref_pow(ref_div((x[0] - ref_val(x), {0: Fraction(1)}), x), -e)
+    out = (x[0], {0: Fraction(1)})
+    for i in range(e):
+        out = x if i == 0 else ref_mul(out, x)
+    return out
+
+
+def as_ref(val, coeffs, order):
+    return order, {val + i: Fraction(c) for i, c in enumerate(coeffs) if val + i <= order}
+
+
+# non-unit leading coefficients make the quotient and root recurrences rescale
+lead_fractions = st.sampled_from([Fraction(2, 3), Fraction(-5), Fraction(1), Fraction(-7, 4)])
+coeff_lists = st.lists(st.one_of(lead_fractions, st.fractions(
+    min_value=-9, max_value=9, max_denominator=9)), min_size=0, max_size=10)
+
+DIFF_OPS = {
+    "add": (lambda a, b, e: a + b, lambda x, y, e: ref_add(x, y)),
+    "mul": (lambda a, b, e: a * b, lambda x, y, e: ref_mul(x, y)),
+    "div": (lambda a, b, e: a / b, lambda x, y, e: ref_div(x, y)),
+    "inverse": (lambda a, b, e: a.inverse(), lambda x, y, e: ref_pow(x, -1)),
+    "pow": (lambda a, b, e: a.pow(e), lambda x, y, e: ref_pow(x, e)),
+}
+
+
+class TestDifferential:
+    @given(st.sampled_from(sorted(DIFF_OPS) + ["sqrt"]), st.integers(-3, 3), coeff_lists,
+           st.integers(-3, 3), coeff_lists, st.integers(-4, 12), st.integers(-3, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_schoolbook(self, op, va, ca, vb, cb, n, e):
+        if op == "sqrt":
+            # the positive branch of the root of p**2 is +-p, to the root's order
+            sa_val, sa = square((va, ca))
+            got = TSeries(sa_val, sa, n).sqrt()
+            lead = next((c for c in ca if c), 1)
+            nonzero = TSeries(sa_val, sa, n).valuation is not None
+            order = n - va if nonzero else n // 2
+            want = as_ref(va, [c if lead > 0 else -c for c in ca], order)
+        else:
+            a, b = TSeries(va, ca, n), TSeries(vb, cb, n + e)
+            try:
+                got = DIFF_OPS[op][0](a, b, e)
+            except SeriesError:
+                return
+            want = DIFF_OPS[op][1](as_ref(va, ca, n), as_ref(vb, cb, n + e), e)
+        assert got.order == want[0]
+        lo = min([*want[1], got.valuation or 0, 0])
+        assert got.coeffs_upto(got.order, lo) == [want[1].get(k, 0) for k in range(lo, got.order + 1)]
+
+    @given(st.integers(-3, 3), coeff_lists, st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_form_is_exact(self, val, coeffs, n):
+        x, three = TSeries(val, coeffs, n), TSeries.constant(3, n)
+        y = (x * three) / three
+        same_x = x.truncate(y.order)
+        assert y == same_x and hash(y) == hash(same_x)
+        if x.valuation is None or x.valuation >= 0:
+            assert y.order == x.order
+
+
 class TestProperties:
     @given(st.sampled_from(sorted(ORDER_OPS)), laurent_strategy(), laurent_strategy(),
            st.integers(min_value=-4, max_value=12), st.integers(min_value=-3, max_value=4))
