@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedgewalks.series import (OrderUnderflowError, SeriesError,
@@ -222,15 +222,16 @@ class TestDifferential:
     @given(st.sampled_from(sorted(DIFF_OPS) + ["sqrt"]), st.integers(-3, 3), coeff_lists,
            st.integers(-3, 3), coeff_lists, st.integers(-4, 12), st.integers(-3, 4))
     @settings(max_examples=400, deadline=None)
+    @example("sqrt", 0, [0, Fraction(-5), Fraction(2, 3)], 0, [], 7, 0)  # a root of valuation 1
     def test_matches_fraction_schoolbook(self, op, va, ca, vb, cb, n, e):
         if op == "sqrt":
             # the positive branch of the root of p**2 is +-p, to the root's order
-            sa_val, sa = square((va, ca))
-            got = TSeries(sa_val, sa, n).sqrt()
+            radicand = TSeries(*square((va, ca)), n)
+            got = radicand.sqrt()
+            v = radicand.valuation
             lead = next((c for c in ca if c), 1)
-            nonzero = TSeries(sa_val, sa, n).valuation is not None
-            order = n - va if nonzero else n // 2
-            want = as_ref(va, [c if lead > 0 else -c for c in ca], order)
+            want = as_ref(va, [c if lead > 0 else -c for c in ca],
+                          n // 2 if v is None else n - v // 2)
         else:
             a, b = TSeries(va, ca, n), TSeries(vb, cb, n + e)
             try:
