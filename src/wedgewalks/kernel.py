@@ -348,7 +348,9 @@ def p_asym(b: Arg, order: int) -> TSeries:
     """
     w = order + 10
     s = root("asymmetric", "alpha-", as_series(b, w), w)
-    return q_asym(s, w - 2).shift(-2).truncate(order)
+    # s = b*t + ... may come back short of w (at b = -1 by one order), and
+    # Q(s) is reliable two orders below s, through its 1/s term
+    return q_asym(s, s.order - 2).shift(-2).truncate(order)
 
 
 # -- residual verification ---------------------------------------------------

@@ -118,6 +118,12 @@ class TSeries:
         return TSeries(lo, [entries.get(k, 0) for k in range(lo, hi + 1)], order)
 
     @staticmethod
+    def from_numerators(valuation: int, numerators: list[int], denominator: int,
+                        order: int) -> "TSeries":
+        """Coefficient ``valuation + k`` is ``numerators[k] / denominator`` (> 0)."""
+        return TSeries._make(valuation, numerators, denominator, order)
+
+    @staticmethod
     def constant(c: Scalar, order: int) -> "TSeries":
         return TSeries(0, [c], order)
 

@@ -17,11 +17,23 @@ Two independent counters are provided: a per-length dynamic program, and an
 exhaustive depth-first generator used as an oracle for small lengths.  They
 share no transition code.
 
-The dynamic program works in the sheared height h = Y - ls*X, where ls is the
-slope of the lower line (0 when there is none).  The lower line becomes
-h >= 0, an east step adds -ls to h, and the upper line of a wedge becomes
-h <= width*X.  Only the two wedges have an upper line, so only they need X;
-the five line models are keyed by h alone.
+The dynamic program keeps, for each length n, one integer list per column
+and arriving step (east or start, north, south), over a closed index range
+that is exactly the domain condition.  The two wedges are indexed by column
+X and d, the number of south steps so far, so Y = n - X - 2d and only the
+reachable parity of Y is stored: a north step keeps (X, d), a south step
+goes to (X, d + 1) and an east step to (X + 1, d).  With w = p for the
+symmetric wedge and w = 0 for the asymmetric one, -w*X <= Y <= p*X is
+
+    max(0, ceil((n - X - p*X)/2)) <= d <= min(n - X, floor((n - X + w*X)/2)).
+
+The five line models are one column indexed by the sheared height
+h = Y - ls*X, ls the slope of the lower line (0 when there is none): an east
+step adds -ls to h, a north or south step adds +1 or -1, and h ranges over
+[0, n] ([-n, n] for ``free``).  Each target list is one source list shifted
+by its move and clipped to the target range, so a step does no per-state
+dictionary work; the frontier size at any length is known before the first
+step.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import BudgetError
 from .series import TSeries
@@ -84,22 +97,30 @@ class WedgeModel:
             return y == x and last in (None, "E")
         return True
 
-    def _geometry(self) -> tuple[bool, int, int | None]:
-        """(has_lo, shift, width) in the sheared height h = Y - ls*X.
+    def _geometry(self):
+        """(moves, span): the state space of the counting DP.
 
-        The lower line is h >= 0 when ``has_lo``; an east step adds ``shift``
-        (= -ls) to h; the upper line is h <= width*X, and ``width`` is None
-        for the models without one.
+        A state is (column, index).  ``moves`` holds the (column, index)
+        offsets of an east, a north and a south step; ``span(n, c)`` is the
+        closed index range (lo, hi) of column c at length n, empty when
+        lo > hi.  Every vertex of a walk is the endpoint at some length, so
+        the span is the whole domain condition.
         """
+        p = self.p
+        if self.kind in ("symmetric", "asymmetric"):
+            # column X, index d = south steps so far, Y = n - X - 2d;
+            # -w*X <= Y <= p*X with w = p (symmetric) or 0 (asymmetric)
+            w = p if self.kind == "symmetric" else 0
+
+            def span(n: int, x: int) -> tuple[int, int]:
+                return max(0, (n - x - p * x + 1) // 2), min(n - x, (n - x + w * x) // 2)
+
+            return ((1, 0), (0, 0), (0, 1)), span
+        # one column, indexed by h = Y - ls*X with ls the lower-line slope
+        shift = -1 if self.kind == "boundary_diag" else 0
         if self.kind == "free":
-            return False, 0, None
-        if self.kind == "symmetric":
-            return True, self.p, 2 * self.p
-        if self.kind == "asymmetric":
-            return True, 0, self.p
-        if self.kind == "boundary_diag":
-            return True, -1, None
-        return True, 0, None
+            return ((0, shift), (0, 1), (0, -1)), lambda n, x: (-n, n)
+        return ((0, shift), (0, 1), (0, -1)), lambda n, x: (0, n)
 
 
 @dataclass
@@ -130,74 +151,94 @@ class CountTable:
         )
 
 
-def _frontier_total(model: WedgeModel, frontier) -> int:
-    kind = model.kind
-    if kind == "quarter_endline":
-        return sum(e + u + d for (x, h), (e, u, d) in frontier.items() if h == 0)
-    if kind in ("boundary_flat", "boundary_diag"):
-        return sum(e for (x, h), (e, u, d) in frontier.items() if h == 0)
-    return sum(e + u + d for e, u, d in frontier.values())
+def _window(src: list[int], start: int, size: int) -> list[int]:
+    """``src[start:start + size]``, reading 0 outside ``src``."""
+    if size <= 0:
+        return []
+    if start >= 0:
+        out = src[start:start + size]
+    else:
+        out = [0] * min(-start, size) + src[:max(0, start + size)]
+    if len(out) < size:
+        out += [0] * (size - len(out))
+    return out
 
 
-def _step(frontier, has_lo: bool, shift: int, width: int | None):
-    """Extend every walk of the frontier by one step; the only transition loop.
+def _step(columns: list, n: int, moves, span) -> tuple[list, list]:
+    """Extend every walk by one step, to length n; the only transition function.
 
-    The frontier maps (X, h) to the counts [east-or-start, north, south] split
-    by the arriving step.  Without an upper line (``width`` None) X stays 0.
+    ``columns[c]`` is (lo, e, u, d): the counts of walks ending at indices
+    lo, lo + 1, ... of column c, split by the arriving step (east or start,
+    north, south).  An east step may follow any step, a north step any but a
+    south one, and a south step any but a north one; each target list is one
+    source list, shifted by its move and clipped to the target span.
+    Returns the new columns and, per old column, the number of walks of
+    length n - 1 at each of its cells (e + u + d).
     """
-    has_up = width is not None
-    dx = 1 if has_up else 0
-    new: dict[tuple[int, int], list[int]] = {}
-    get = new.get
-    for (x, h), (e, u, d) in frontier.items():
-        tot = e + u + d
-        x1 = x + dx
-        h1 = h + shift
-        if (not has_lo or h1 >= 0) and (not has_up or h1 <= width * x1):
-            key = (x1, h1)
-            cur = get(key)
-            if cur is None:
-                new[key] = [tot, 0, 0]
+    # per source column, what may take an east, a north and a south step
+    sources = []
+    for lo, e, u, d in columns:
+        eu = list(map(add, e, u))
+        sources.append((lo, (list(map(add, eu, d)), eu, list(map(add, e, d)))))
+    grow = max(dc for dc, _dk in moves)
+    new = []
+    for c in range(len(columns) + grow):
+        lo, hi = span(n, c)
+        size = hi - lo + 1
+        lists = []
+        for which, (dc, dk) in enumerate(moves):
+            s = c - dc
+            if 0 <= s < len(sources):
+                src_lo, src = sources[s]
+                lists.append(_window(src[which], lo - dk - src_lo, size))
             else:
-                cur[0] += tot
-        eu = e + u
-        if eu and (not has_up or h < width * x):
-            key = (x, h + 1)
-            cur = get(key)
-            if cur is None:
-                new[key] = [0, eu, 0]
-            else:
-                cur[1] += eu
-        ed = e + d
-        if ed and (not has_lo or h > 0):
-            key = (x, h - 1)
-            cur = get(key)
-            if cur is None:
-                new[key] = [0, 0, ed]
-            else:
-                cur[2] += ed
-    return new
+                lists.append([0] * max(0, size))
+        new.append((lo, *lists))
+    return new, [totals for _lo, (totals, _eu, _ed) in sources]
+
+
+def _frontier_size(moves, span, n: int) -> int:
+    """Cells of the frontier at length n; spans only grow, so this is the peak."""
+    grow = max(dc for dc, _dk in moves)
+    spans = (span(n, c) for c in range(1 + grow * n))
+    return sum(max(0, hi - lo + 1) for lo, hi in spans)
 
 
 def count_walks(model: WedgeModel, n_max: int) -> CountTable:
     """Exact counts of walks of every length 0..n_max.
 
-    Per-length frontier keyed by (X, h), h the sheared height, holding counts
-    split by the arriving step; X stays 0 for the five line models, which are
-    keyed by h alone.  Memory is reclaimed each step.
+    One integer list per column and arriving step, over the column's span at
+    each length (see ``WedgeModel._geometry``).  The frontier size at n_max is
+    known in advance, so an over-budget request is refused before any work.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > _MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the budget of {_MAX_N}")
-    geometry = model._geometry()
-    frontier: dict[tuple[int, int], list[int]] = {(0, 0): [1, 0, 0]}
-    counts = [_frontier_total(model, frontier)]
+    moves, span = model._geometry()
+    states = _frontier_size(moves, span, n_max)
+    if states > _MAX_STATES:
+        raise BudgetError(f"n_max={n_max} needs {states} states, "
+                          f"over the budget of {_MAX_STATES}")
+    pinned = model.kind in ("quarter_endline", "boundary_flat", "boundary_diag")
+
+    def pinned_count(columns) -> int:
+        # walks ending at h = 0, index -lo of the one column
+        lo, e, u, d = columns[0]
+        if model.kind == "quarter_endline":
+            return e[-lo] + u[-lo] + d[-lo]
+        return e[-lo]
+
+    columns = [(0, [1], [0], [0])]
+    counts = []
     for n in range(1, n_max + 1):
-        frontier = _step(frontier, *geometry)
-        if len(frontier) > _MAX_STATES:
-            raise BudgetError(f"state budget exceeded at length {n}")
-        counts.append(_frontier_total(model, frontier))
+        if pinned:
+            counts.append(pinned_count(columns))
+        columns, totals = _step(columns, n, moves, span)
+        if not pinned:  # the walks of length n - 1
+            counts.append(sum(map(sum, totals)))
+    counts.append(pinned_count(columns) if pinned
+                  else sum(sum(e) + sum(u) + sum(d) for _lo, e, u, d in columns))
     return CountTable(model, counts)
 
 
@@ -234,6 +275,37 @@ def brute_force_counts(model: WedgeModel, n_max: int, ending: str = "any") -> li
     return [brute_force_oracle(model, n, ending) for n in range(n_max + 1)]
 
 
+def _scaled_powers(num: int, den: int, top: int) -> list[int]:
+    """num^k * den^(top - k) for k = 0..top: (num/den)^k over den^top."""
+    nums, dens = [1], [1]
+    for _ in range(top):
+        nums.append(nums[-1] * num)
+        dens.append(dens[-1] * den)
+    return [x * y for x, y in zip(nums, reversed(dens))]
+
+
+def _monomial_sum(terms, a, b, order: int) -> TSeries:
+    """The sum of c * a^i * b^j * t^k over (k, c, i, j) with k <= order.
+
+    Exact over the one denominator den(a)^I * den(b)^J, I and J the largest
+    exponents, with every power computed once.
+    """
+    a, b = Fraction(a), Fraction(b)
+    terms = [term for term in terms if term[0] <= order]
+    if not terms:
+        return TSeries.zero(order)
+    top_i = max(i for _k, _c, i, _j in terms)
+    top_j = max(j for _k, _c, _i, j in terms)
+    apow = _scaled_powers(a.numerator, a.denominator, top_i)
+    bpow = _scaled_powers(b.numerator, b.denominator, top_j)
+    lo = min(k for k, _c, _i, _j in terms)
+    num = [0] * (max(k for k, _c, _i, _j in terms) - lo + 1)
+    for k, c, i, j in terms:
+        num[k - lo] += c * apow[i] * bpow[j]
+    return TSeries.from_numerators(lo, num, a.denominator ** top_i * b.denominator ** top_j,
+                                   order)
+
+
 class WeightedSeries:
     """Endpoint-distance-weighted counts of horizontal-ending walks.
 
@@ -261,31 +333,18 @@ class WeightedSeries:
 
     def series_at(self, a: Fraction, b: Fraction) -> TSeries:
         """f(a, b) as a series in t at rational a, b."""
-        a, b = Fraction(a), Fraction(b)
-        coeffs: dict[int, Fraction] = {}
-        for (n, i, j), c in self.entries.items():
-            coeffs[n] = coeffs.get(n, Fraction(0)) + c * a**i * b**j
-        return TSeries.from_dict(coeffs, self.order)
+        return _monomial_sum(((n, c, i, j) for (n, i, j), c in self.entries.items()),
+                             a, b, self.order)
 
     def series_lower(self, a: Fraction) -> TSeries:
         """f(a, t*a): the b -> t*a specialization (endpoint on the lower line)."""
-        a = Fraction(a)
-        coeffs: dict[int, Fraction] = {}
-        for (n, i, j), c in self.entries.items():
-            k = n + j
-            if k <= self.order:
-                coeffs[k] = coeffs.get(k, Fraction(0)) + c * a ** (i + j)
-        return TSeries.from_dict(coeffs, self.order)
+        return _monomial_sum(((n + j, c, i + j, 0) for (n, i, j), c in self.entries.items()),
+                             a, 1, self.order)
 
     def series_upper(self, b: Fraction) -> TSeries:
         """f(t*b, b): the a -> t*b specialization (endpoint on the upper line)."""
-        b = Fraction(b)
-        coeffs: dict[int, Fraction] = {}
-        for (n, i, j), c in self.entries.items():
-            k = n + i
-            if k <= self.order:
-                coeffs[k] = coeffs.get(k, Fraction(0)) + c * b ** (i + j)
-        return TSeries.from_dict(coeffs, self.order)
+        return _monomial_sum(((n + i, c, 0, i + j) for (n, i, j), c in self.entries.items()),
+                             1, b, self.order)
 
     def horizontal_counts(self) -> list[int]:
         """a = b = 1 collapse: counts of horizontal-ending walks by length."""
@@ -316,16 +375,18 @@ def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
         raise ValueError("weighted series exist for the symmetric and asymmetric models only")
     if order > 60:
         raise BudgetError(f"weighted order {order} exceeds the budget of 60")
-    has_lo, shift, width = WedgeModel(kind, p)._geometry()
+    moves, span = WedgeModel(kind, p)._geometry()
+    w = p if kind == "symmetric" else 0  # the lower line is Y = -w*X
     entries: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    frontier: dict[tuple[int, int], list[int]] = {(0, 0): [1, 0, 0]}
+    columns = [(0, [1], [0], [0])]
     for n in range(1, order + 1):
-        frontier = _step(frontier, has_lo, shift, width)
-        # i = width*X - h is the distance below the upper line, j = h above the lower
-        for (x, h), (e, _u, _d) in frontier.items():
-            if e:
-                key = (n, width * x - h, h)
-                entries[key] = entries.get(key, 0) + e
+        columns, _ = _step(columns, n, moves, span)
+        # i = p*X - Y is the distance below the upper line, j = w*X + Y above the lower
+        for x, (lo, e, _u, _d) in enumerate(columns):
+            for k, c in enumerate(e):
+                if c:
+                    y = n - x - 2 * (lo + k)
+                    entries[(n, p * x - y, w * x + y)] = c
     return WeightedSeries(kind, p, order, entries)
 
 

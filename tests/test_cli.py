@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -82,6 +83,16 @@ class TestSeries:
         runs = {run_main("series", "--kind", "asym_k1", "--order", "30")[1]
                 for _ in range(2)}
         assert len(runs) == 1
+
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 30])
+    def test_theta_asym_p_at_minus_one(self, order):
+        code, out = run_main("series", "--kind", "theta_asym_p", "--a", "-1",
+                             "--order", str(order))
+        assert code == 0
+        rows = out.splitlines()[1:]
+        deeper = cli.cf.gf_series("theta_asym_p", order + 10, a=-1)
+        assert rows == [f"{k},{deeper.coeff(k)}" for k in range(order + 1)]
 
 
 class TestVerify:
@@ -206,6 +217,17 @@ class TestExitCodes:
     def test_budget_exceeded(self):
         code, _out = run_main("count", "--model", "free", "--n", "9999")
         assert code == cli.EXIT_BUDGET
+
+    def test_over_budget_count_is_refused_up_front(self):
+        # the symmetric frontier passes 5M states near n = 4470; refusing it
+        # takes no DP step, not hours
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "wedgewalks.cli", "count", "--model", "symmetric",
+             "--n", "4800"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+        assert time.perf_counter() - start < 10
+        assert proc.stderr.startswith("budget exceeded: n_max=4800 needs")
 
     def test_budget_brute_series_order(self):
         code, _ = run_main("series", "--kind", "free", "--order", "2000")

@@ -186,6 +186,14 @@ class TestQSeries:
         assert kernel.q_asym(1, 30).same(printed_q_asym(30))
         assert kernel.p_asym(1, 30).same(printed_p_asym(30))
 
+    @pytest.mark.parametrize("order", [0, 1, 5, 30])
+    def test_p_asym_where_the_root_comes_back_short(self, order):
+        # at b = -1 the alpha- root of a series argument comes back one order short
+        assert kernel.root("asymmetric", "alpha-", kernel.as_series(-1, 20), 20).order == 19
+        p = kernel.p_asym(-1, order)
+        assert p.order == order
+        assert p == kernel.p_asym(-1, order + 10).truncate(order)
+
     def test_q_sym_sum_at_pole(self):
         # Q(1) at the dominant pole t_c tends to 3 - 2 sqrt(2); the
         # truncation error decays like (sqrt(5) t_c)^N

@@ -1,11 +1,14 @@
 """Enumeration: DP against the exhaustive oracle, frozen counts, invariants."""
 
 import json
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from wedgewalks import walks
 from wedgewalks.errors import BudgetError
+from wedgewalks.series import TSeries
 from wedgewalks.walks import (KINDS, WedgeModel, brute_force_counts,
                               brute_force_oracle, count_walks,
                               growth_inequalities, prepend_inequality,
@@ -17,6 +20,66 @@ FROZEN = {
     "free": [1, 3, 7, 17, 41],
     "halfplane": [1, 2, 4, 9, 20],
 }
+
+
+def _reference_geometry(kind, p):
+    """(has_lo, shift, width) in the sheared height h = Y - ls*X, ls the
+    lower-line slope: lower line h >= 0 when has_lo, an east step adds shift
+    to h, upper line h <= width*X (width None when there is none)."""
+    if kind == "free":
+        return False, 0, None
+    if kind == "symmetric":
+        return True, p, 2 * p
+    if kind == "asymmetric":
+        return True, 0, p
+    if kind == "boundary_diag":
+        return True, -1, None
+    return True, 0, None
+
+
+def _reference_step(frontier, has_lo, shift, width):
+    """The dict-keyed transition: (X, h) -> [east-or-start, north, south]."""
+    has_up = width is not None
+    dx = 1 if has_up else 0
+    new = {}
+    for (x, h), (e, u, d) in frontier.items():
+        x1, h1 = x + dx, h + shift
+        if (not has_lo or h1 >= 0) and (not has_up or h1 <= width * x1):
+            new.setdefault((x1, h1), [0, 0, 0])[0] += e + u + d
+        if e + u and (not has_up or h < width * x):
+            new.setdefault((x, h + 1), [0, 0, 0])[1] += e + u
+        if e + d and (not has_lo or h > 0):
+            new.setdefault((x, h - 1), [0, 0, 0])[2] += e + d
+    return new
+
+
+def _reference_counts(kind, p, n_max):
+    geometry = _reference_geometry(kind, p)
+    frontier = {(0, 0): [1, 0, 0]}
+    counts = [1]
+    for _ in range(n_max):
+        frontier = _reference_step(frontier, *geometry)
+        if kind == "quarter_endline":
+            counts.append(sum(sum(v) for (_x, h), v in frontier.items() if h == 0))
+        elif kind in ("boundary_flat", "boundary_diag"):
+            counts.append(sum(v[0] for (_x, h), v in frontier.items() if h == 0))
+        else:
+            counts.append(sum(sum(v) for v in frontier.values()))
+    return counts
+
+
+def _reference_weighted(kind, p, order):
+    """entries[(n, i, j)] with i = width*X - h, j = h."""
+    geometry = _reference_geometry(kind, p)
+    width = geometry[2]
+    frontier = {(0, 0): [1, 0, 0]}
+    entries = {(0, 0, 0): 1}
+    for n in range(1, order + 1):
+        frontier = _reference_step(frontier, *geometry)
+        for (x, h), (e, _u, _d) in frontier.items():
+            if e:
+                entries[(n, width * x - h, h)] = e
+    return entries
 
 
 def _slopes(kinds):
@@ -37,6 +100,22 @@ class TestCounts:
         model = WedgeModel(kind, p)
         n = 12
         assert count_walks(model, n).counts == brute_force_counts(model, n)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dp_equals_dict_reference(self, kind):
+        for p in (1, 2, 3, 4):
+            assert count_walks(WedgeModel(kind, p), 80).counts == \
+                _reference_counts(kind, p, 80), p
+
+    def test_state_budget_is_refused_before_any_step(self, monkeypatch):
+        def no_step(*_args):
+            raise AssertionError("the DP started")
+
+        monkeypatch.setattr(walks, "_step", no_step)
+        with pytest.raises(BudgetError, match="states"):
+            count_walks(WedgeModel("symmetric", 1), 4800)
+        with pytest.raises(BudgetError, match="states"):
+            count_walks(WedgeModel("symmetric", 2), 4000)
 
     def test_oracle_spot_values(self):
         assert brute_force_oracle(WedgeModel("symmetric", 1), 3) == 5
@@ -133,6 +212,33 @@ class TestWeighted:
     def test_budget(self):
         with pytest.raises(BudgetError):
             weighted_gf("symmetric", 1, 61)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_entries_equal_dict_reference(self, kind):
+        for p in (1, 2, 3, 4):
+            assert weighted_gf(kind, p, 40).entries == _reference_weighted(kind, p, 40), p
+
+    @pytest.mark.parametrize("kind,p", [("symmetric", 1), ("asymmetric", 2)])
+    def test_evaluation_equals_fraction_formula(self, kind, p):
+        w = weighted_gf(kind, p, 16)
+        values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3),
+                  Fraction(-5, 4), Fraction(3)]
+
+        def fraction_sum(monomials):
+            coeffs = {}
+            for k, c in monomials:
+                if k <= w.order:
+                    coeffs[k] = coeffs.get(k, Fraction(0)) + c
+            return TSeries.from_dict(coeffs, w.order)
+
+        for a in values:
+            assert w.series_lower(a) == fraction_sum(
+                (n + j, c * a ** (i + j)) for (n, i, j), c in w.entries.items())
+            assert w.series_upper(a) == fraction_sum(
+                (n + i, c * a ** (i + j)) for (n, i, j), c in w.entries.items())
+            for b in values:
+                assert w.series_at(a, b) == fraction_sum(
+                    (n, c * a ** i * b ** j) for (n, i, j), c in w.entries.items())
 
 
 class TestGrowth:
