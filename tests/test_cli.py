@@ -84,7 +84,6 @@ class TestSeries:
                 for _ in range(2)}
         assert len(runs) == 1
 
-
     @pytest.mark.parametrize("order", [0, 1, 5, 30])
     def test_theta_asym_p_at_minus_one(self, order):
         code, out = run_main("series", "--kind", "theta_asym_p", "--a", "-1",
