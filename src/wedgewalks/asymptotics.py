@@ -5,15 +5,18 @@ Analytic constants are computed with mpmath at an explicit working precision
 and must be stable under precision doubling; empirical constants come from
 fits against exact enumeration with the window and extrapolation order
 reported.  Reference values are stored as exact decimal strings.
+
+The zero-free-disk audit counts the zeros in |t| < 1/2 exactly, in integer
+arithmetic; only the roots it prints are numeric.
 """
 
 from __future__ import annotations
 
-import json
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import mpmath
-import numpy as np
 
 from . import closedforms as cf
 from .errors import BudgetError
@@ -54,9 +57,6 @@ class AsymptoticReport:
             "n_range": list(self.n_range) if self.n_range else None,
             "diagnostics": {k: str(v) for k, v in self.diagnostics.items()},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _check_digits(digits: int) -> None:
@@ -443,7 +443,7 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
 # -- root audit ---------------------------------------------------------------
 
 class AuditError(RuntimeError):
-    """An undocumented polynomial zero was found inside the disk |t| < 1/2."""
+    """The audit found an undocumented zero in |t| < 1/2, or could not decide."""
 
 
 @dataclass
@@ -453,11 +453,9 @@ class RootAudit:
     results: list[dict] = field(default_factory=list)
     ok: bool = True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"schema": 1, "k_range": list(self.k_range), "digits": self.digits,
-             "ok": self.ok, "results": self.results},
-            sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"schema": 1, "k_range": list(self.k_range), "digits": self.digits,
+                "ok": self.ok, "results": self.results}
 
 
 def _family_poly(family: str, k: int) -> dict[int, int]:
@@ -478,17 +476,70 @@ def _family_poly(family: str, k: int) -> dict[int, int]:
     return acc
 
 
+def _zeros_in_half_disk(coeffs: dict[int, int]) -> int:
+    """Exact number of zeros of an integer polynomial f in |t| < 1/2.
+
+    Schur-Cohn recursion on g(s) = 2^d f(s/2) in |s| < 1: with g* the
+    reversed g, T g = a0 g - an g* has lower degree and, by Rouche on |s| = 1,
+    the zeros of g in the disk if |a0| > |an|, else those of g*, deg g minus
+    those of g.  A zero on the circle survives every T, so it ends in a step
+    with |a0| = |an| (only then can T g, whose constant is a0^2 - an^2,
+    vanish); that step raises AuditError and is never guessed.
+    """
+    d = max(coeffs)
+    g = [coeffs.get(i, 0) << (d - i) for i in range(d + 1)]
+    count, sign = 0, 1  # zeros of f = count + sign * (zeros of g)
+    while len(g) > 1:
+        n = len(g) - 1
+        a0, an = g[0], g[n]
+        if abs(a0) == abs(an):
+            raise AuditError(f"degenerate Schur-Cohn step at degree {n}: |a0| = |an|")
+        if abs(a0) < abs(an):
+            count, sign = count + sign * n, -sign
+        g = [a0 * g[i] - an * g[n - i] for i in range(n)]
+        while not g[-1]:
+            g.pop()
+        common = math.gcd(*g)
+        g = [c // common for c in g]
+    return count
+
+
+def _aberth(desc: list[int]) -> list[complex]:
+    """All zeros of a polynomial (descending coefficients) in complex floats.
+
+    Aberth iteration from points on the circle of the roots' geometric-mean
+    modulus; each step is Newton's, deflated by the other current zeros.
+    """
+    n = len(desc) - 1
+    c = [x / desc[0] for x in desc]
+    radius = abs(c[-1]) ** (1 / n)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(500):
+        moved = False
+        for i, zi in enumerate(z):
+            p = dp = 0j
+            for ck in c:
+                p, dp = p * zi + ck, dp * zi + p
+            denom = dp - p * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            step = p / denom if denom else 0
+            z[i] = zi - step
+            moved |= abs(step) > 1e-12 * max(1.0, abs(zi))
+        if not moved:
+            break
+    return z
+
+
 def _poly_roots(coeffs: dict[int, int], digits: int):
-    """Roots by companion matrix (numpy), polished by mpmath Newton, with an
-    independent mpmath.polyroots cross-check.  Every returned root satisfies
-    the polynomial to working precision."""
+    """Aberth seeds polished by mpmath Newton; every returned root satisfies
+    the polynomial to working precision, and each real or imaginary part
+    below the polish tolerance is exactly 0."""
     deg = max(coeffs)
     desc = [coeffs.get(deg - i, 0) for i in range(deg + 1)]
-    seeds = np.roots([float(c) for c in desc])
     with mpmath.workdps(digits + 10):
+        tol = mpmath.mpf(10) ** (-(digits + 5))
         poly = [mpmath.mpf(c) for c in desc]
         polished = []
-        for r in seeds:
+        for r in _aberth(desc):
             x = mpmath.mpc(r)
             for _ in range(60):
                 p, dp = mpmath.polyval(poly, x, derivative=True)
@@ -496,17 +547,13 @@ def _poly_roots(coeffs: dict[int, int], digits: int):
                     break
                 step = p / dp
                 x -= step
-                if abs(step) < mpmath.mpf(10) ** (-(digits + 5)):
+                if abs(step) < tol:
                     break
-            polished.append(x)
+            polished.append(mpmath.mpc(mpmath.chop(x, tol)))
         scale = max(abs(c) for c in poly)
         residual = max(abs(mpmath.polyval(poly, x)) for x in polished)
         if residual > scale * mpmath.mpf(10) ** (-digits):
             raise AuditError(f"root polish left residual {mpmath.nstr(residual, 3)}")
-        independent = mpmath.polyroots(poly, maxsteps=200, extraprec=80)
-        mins = (min(abs(r) for r in polished), min(abs(r) for r in independent))
-        if abs(mins[0] - mins[1]) > mpmath.mpf(10) ** (-digits // 2):
-            raise AuditError("root-finding strategies disagree on the minimum modulus")
         return sorted(polished, key=lambda z: (mpmath.nstr(abs(z), 20),
                                                mpmath.nstr(mpmath.arg(z), 20)))
 
@@ -518,6 +565,8 @@ def root_audit(k_max: int = 20, digits: int = 30) -> RootAudit:
     modulus < 1/2, except the documented modulus sqrt(2)-1 point of the
     P family at k = 0, which belongs to the other branch (the principal
     branch of P does not reach -1 there) and is flagged, not failed.
+    The count inside is exact (:func:`_zeros_in_half_disk`); the printed
+    roots, polished to ``digits`` + 10 places, must have as many inside.
     """
     if k_max > 30:
         raise BudgetError("k_max beyond 30 exceeds the audit budget")
@@ -528,33 +577,31 @@ def root_audit(k_max: int = 20, digits: int = 30) -> RootAudit:
         eps = mpmath.mpf(10) ** (-digits // 2)
         for family in ("Q", "P"):
             for k in range(-1, k_max + 1):
+                label = f"{family}-family k={k}"
                 coeffs = _family_poly(family, k)
+                try:
+                    count = _zeros_in_half_disk(coeffs)
+                except AuditError as exc:
+                    raise AuditError(f"{label}: {exc}") from None
                 roots = _poly_roots(coeffs, digits)
+                inside = [r for r in roots if abs(r) < half]
+                if len(inside) != count:
+                    raise AuditError(f"{label}: {len(inside)} polished roots in "
+                                     f"|t| < 1/2, but exactly {count} zeros")
                 flagged = []
-                inside = []
-                for r in roots:
-                    m = abs(r)
-                    if m < half - eps:
-                        if family == "P" and k == 0 and abs(m - tau) < eps:
-                            # principal branch stays clear: at this point the
-                            # other branch of P equals -1
-                            principal = (1 - 3 * r**2
-                                         - mpmath.sqrt((1 - r**2) * (1 - 5 * r**2))
-                                         ) / (2 * r)
-                            flagged.append({
-                                "root": mpmath.nstr(r, 17),
-                                "modulus": mpmath.nstr(m, 17),
-                                "reason": "other-branch",
-                                "principal_branch_value_plus_1":
-                                    mpmath.nstr(abs(1 + principal), 5),
-                            })
-                        else:
-                            inside.append(mpmath.nstr(r, 17))
-                if inside:
-                    audit.ok = False
-                    raise AuditError(
-                        f"{family}-family k={k}: undocumented zeros inside "
-                        f"|t| < 1/2: {inside}")
+                for r in inside:
+                    if not (family == "P" and k == 0 and abs(abs(r) - tau) < eps):
+                        raise AuditError(f"{label}: undocumented zero inside "
+                                         f"|t| < 1/2: {mpmath.nstr(r, 17)}")
+                    # principal branch stays clear: at this point the other
+                    # branch of P equals -1
+                    flagged.append({
+                        "root": mpmath.nstr(r, 17),
+                        "modulus": mpmath.nstr(abs(r), 17),
+                        "reason": "other-branch",
+                        "principal_branch_value_plus_1":
+                            mpmath.nstr(abs(1 + _q_at(r)), 5),
+                    })
                 audit.results.append({
                     "family": family,
                     "k": k,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -61,6 +62,18 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _attach_negative_a(argv: list[str]) -> list[str]:
+    """argparse reads ``-1/2`` as an option (only integers and decimals pass as
+    negative numbers), so ``--a -1/2`` is handed to it as ``--a=-1/2``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--a" and re.fullmatch(r"-\d+/\d+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _write(text: str, out: str | None) -> None:
@@ -153,8 +166,7 @@ def cmd_asympt(args) -> int:
     if want in ("p-pieces", "all"):
         reports.extend(asy.p_pieces_asymptotics(min(args.nmax, 200), digits))
     if want in ("roots", "all"):
-        extras["root_audit"] = json.loads(
-            asy.root_audit(args.kmax, digits).to_json())
+        extras["root_audit"] = asy.root_audit(args.kmax, digits).to_dict()
 
     payload = {
         "schema": 1,
@@ -269,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_a(argv))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -204,3 +204,33 @@ class TestRootAudit:
     def test_budget(self):
         with pytest.raises(BudgetError):
             asy.root_audit(40)
+
+
+class TestZeroCount:
+    """Schur-Cohn count of the zeros in |t| < 1/2 (exponent -> coefficient)."""
+
+    @pytest.mark.parametrize("coeffs,count", [
+        ({0: 2, 1: -7, 2: 3}, 1),          # (3t - 1)(t - 2): 1/3 inside
+        ({0: 1, 1: 1, 2: -3, 3: 1}, 1),    # (t - 1)(t^2 - 2t - 1): 1 - sqrt 2
+        ({0: 1, 2: -1}, 0),                # 1 - t^2
+    ], ids=["3t-1_times_t-2", "P_family_k0", "1-t^2"])
+    def test_hand_checked(self, coeffs, count):
+        assert asy._zeros_in_half_disk(coeffs) == count
+
+    @pytest.mark.parametrize("coeffs", [{0: -1, 1: 2}, {0: 1, 2: 4}],
+                             ids=["2t-1", "4t^2+1"])
+    def test_zeros_on_the_circle_are_not_decided(self, coeffs):
+        with pytest.raises(asy.AuditError, match="degenerate Schur-Cohn step"):
+            asy._zeros_in_half_disk(coeffs)
+
+    def test_audit_families(self):
+        # only the documented P-family point at k = 0 lies inside
+        counts = {(f, k): asy._zeros_in_half_disk(asy._family_poly(f, k))
+                  for f in "QP" for k in range(-1, 31)}
+        assert {key for key, c in counts.items() if c} == {("P", 0)}
+        assert counts[("P", 0)] == 1
+
+    def test_count_disagreeing_with_the_roots_fails(self, monkeypatch):
+        monkeypatch.setattr(asy, "_zeros_in_half_disk", lambda coeffs: 0)
+        with pytest.raises(asy.AuditError, match="P-family k=0: 1 polished roots"):
+            asy.root_audit(0, 17)

@@ -93,6 +93,13 @@ class TestSeries:
         deeper = cli.cf.gf_series("theta_asym_p", order + 10, a=-1)
         assert rows == [f"{k},{deeper.coeff(k)}" for k in range(order + 1)]
 
+    @pytest.mark.parametrize("kind", cli._A_KINDS)
+    def test_negative_rational_after_a_space(self, kind):
+        spaced = run_main("series", "--kind", kind, "--a", "-1/2", "--order", "6")
+        joined = run_main("series", "--kind", kind, "--a=-1/2", "--order", "6")
+        assert spaced[0] == 0
+        assert spaced == joined
+
 
 class TestVerify:
     def test_interpretations_reported_not_failing(self):
@@ -137,6 +144,31 @@ class TestAsympt:
         assert code == 0
         payload = json.loads(out)
         assert payload["root_audit"]["ok"] is True
+
+    def test_roots_deterministic_and_chopped(self):
+        digits = 30
+        runs = {run_main("asympt", "--const", "roots", "--kmax", "8",
+                         "--digits", str(digits)) for _ in range(2)}
+        assert len(runs) == 1
+        ((code, out),) = runs
+        assert code == 0
+        tol = 10.0 ** -(digits + 5)
+        for row in json.loads(out)["root_audit"]["results"]:
+            for text in row["roots"]:
+                z = complex(text.replace(" ", ""))
+                assert all(part == 0 or abs(part) >= tol for part in (z.real, z.imag))
+
+    def test_roots_audit_imports_no_numpy(self):
+        # a fresh isolated interpreter: nothing imported before the CLI runs
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+                "from wedgewalks import cli; "
+                "rc = cli.main(['asympt', '--const', 'roots', '--kmax', '3', "
+                "'--out', os.devnull]); "
+                "print(rc, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_accuracy_table(self):
         code, out = run_main("asympt", "--const", "eq-accuracy")
@@ -184,6 +216,7 @@ class TestExitCodes:
         (None, ["asympt", "--const", "A1A2", "--nmax", "30"], 2),
         (None, ["asympt", "--const", "p-pieces", "--nmax", "1"], 2),
         (None, ["series", "--kind", "theta_sym", "--a", "0"], 2),
+        (None, ["series", "--kind", "theta_sym", "--a", "-x"], 2),
         (None, ["series", "--kind", "bargraph", "--p", "0"], 2),
         (None, ["ledger", "explain"], 2),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else str(v))
@@ -212,6 +245,14 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_VERIFY_FAIL
         # one line, no traceback
         assert capsys.readouterr().err == f"error: {error.__name__}: internal inconsistency\n"
+
+    def test_undecided_audit_exits_1(self, monkeypatch, capsys):
+        # 2t - 1 has its zero on |t| = 1/2: the exact count refuses to guess
+        monkeypatch.setattr(cli.asy, "_family_poly", lambda family, k: {0: -1, 1: 2})
+        assert cli.main(["asympt", "--const", "roots", "--kmax", "0"]) == cli.EXIT_VERIFY_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: AuditError: Q-family k=-1: degenerate Schur-Cohn step")
+        assert err.count("\n") == 1
 
     def test_budget_exceeded(self):
         code, _out = run_main("count", "--model", "free", "--n", "9999")
