@@ -371,7 +371,7 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
     _check_digits(digits)
     if n_max > 400:
         raise BudgetError("p-piece series beyond n=400 exceed the budget")
-    p1, p2, p3 = cf.gf_h1_pieces(n_max)
+    p1, p2, p3, middle = cf.gf_h1_pieces(n_max)
     h1 = p1 + p2 + p3
     reports = []
     with mpmath.workdps(digits + 10):
@@ -398,8 +398,8 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
         ))
 
         # (ii) per-summand comparison
-        for k in range(3):
-            exact = coeff(cf.gf_h1_middle_term(k, n_max), n_max)
+        for k, summand in zip(range(3), middle):
+            exact = coeff(summand, n_max)
             formula = _p2k_formula(k, n_max)
             reports.append(AsymptoticReport(
                 f"p2_summand_k{k}", "fit", _nstr(exact / mu**n_max, 8), digits,

@@ -10,6 +10,7 @@ formula.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import kernel
@@ -74,44 +75,71 @@ def printed_p_asym(order: int) -> TSeries:
 
 
 def alternating_theta(q: TSeries, order: int) -> TSeries:
-    """sum((-1)^n t^(n^2) q^n); term n has valuation n^2 + n*val(q)."""
+    """sum((-1)^n t^(n^2) q^n); term n has valuation n^2 + n*val(q).
+
+    The sum is exact to order min(order, q.order + 1).  q^n is carried
+    forward as q^(n-1) * q; before each product both factors are truncated
+    to the order that term n needs, the sum's order less n^2, so no product
+    computes a coefficient that the sum cannot use.
+    """
     vq = q.valuation
     if vq is None or vq <= 0:
         raise ValueError("theta argument must have positive valuation")
     acc = TSeries.constant(1, order)
+    top = min(order, q.order + 1)
     n = 1
-    qp = TSeries.constant(1, q.order)
-    while n * n + n * vq <= order:
-        qp = qp * q
+    qp = TSeries.constant(1, top)
+    while n * n + n * vq <= top:
+        rel = top - n * n - n * vq  # order of term n past its valuation
+        qp = qp.truncate((n - 1) * vq + rel) * q.truncate(vq + rel)
         term = qp.shift(n * n)
         acc = acc + (term if n % 2 == 0 else term.neg())
         n += 1
     return acc.truncate(min(order, acc.order))
 
 
-def _ratio_theta_term(q: TSeries, n: int) -> TSeries:
-    """Term n of ratio_theta."""
-    u = q.shift(2 * n - 1)
-    bracket = (1 - u) / (1 + u)
-    # (q/t)^(2n) t^(2n^2) = q^(2n) t^(2n^2 - 2n)
-    return bracket * q.pow(2 * n).shift(2 * n * (n - 1)) if n else bracket
+def _ratio_theta_terms(q: TSeries, order: int) -> Iterator[TSeries]:
+    """Yield the summands n = 0, 1, ... of ratio_theta(q, order).
+
+    Every summand is exact to the order of the sum, min(order, order of the
+    n = 0 bracket); the terms for n >= 1 start beyond it.  q^(2n) is carried
+    forward as q^(2n-2) * q^2.  Before each product, the carried power, q^2
+    and the bracket's argument are truncated to the order that summand n
+    reaches, less its valuation 2n^2 + 2n(val(q) - 1).
+    """
+    vq = q.valuation
+    if vq is None or vq <= 0:
+        raise ValueError("theta argument must have positive valuation")
+    u = q.shift(-1)
+    first = (1 - u) / (1 + u)
+    top = min(order, first.order)
+    yield first.truncate(top)
+    q1 = q.truncate(top - vq)
+    q2 = q1 * q1  # to order top
+    qp = TSeries.constant(1, top)
+    n = 1
+    while 2 * n * n + 2 * n * (vq - 1) <= top:
+        rel = top - 2 * n * n - 2 * n * (vq - 1)  # order of term n past its valuation
+        u = q.shift(2 * n - 1).truncate(rel)
+        bracket = (1 - u) / (1 + u)
+        qp = qp.truncate((2 * n - 2) * vq + rel) * q2.truncate(2 * vq + rel)
+        # (q/t)^(2n) t^(2n^2) = q^(2n) t^(2n^2 - 2n)
+        yield bracket * qp.shift(2 * n * (n - 1))
+        n += 1
 
 
 def ratio_theta(q: TSeries, order: int) -> TSeries:
     """sum over n >= 0 of ((1 - t^(2n-1) q)/(1 + t^(2n-1) q)) (q/t)^(2n) t^(2n^2).
 
     Term n has valuation >= 2n^2 + 2n(val(q) - 1), so the sum is a finite
-    computation at every truncation order.
+    computation at every truncation order.  Each term is computed only to
+    the order of the sum (see _ratio_theta_terms), which is min(order, the
+    order of the n = 0 term).
     """
-    vq = q.valuation
-    if vq is None or vq <= 0:
-        raise ValueError("theta argument must have positive valuation")
     acc = TSeries.zero(order)
-    n = 0
-    while 2 * n * n + 2 * n * (vq - 1) <= order:
-        acc = acc + _ratio_theta_term(q, n)
-        n += 1
-    return acc.truncate(min(order, acc.order))
+    for term in _ratio_theta_terms(q, order):
+        acc = acc + term
+    return acc
 
 
 def gf_free(order: int) -> TSeries:
@@ -144,37 +172,30 @@ def gf_sym_g1(order: int) -> TSeries:
     return res.truncate(order)
 
 
-def _h1_factors(w: int) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-    """(q, pole, 1 - t^2, -q (1 - t^2) pole / t^2) at working order w, with
-    q the printed asymmetric Q; the last factor multiplies the ratio sum over
-    q in the middle solution piece."""
+def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSeries]]:
+    """(p1, p2, p3, middle) for the asymmetric horizontal-ending solution.
+
+    p1 + p2 + p3 is the solution.  The middle piece p2 is -q (1 - t^2)
+    pole / t^2 times the ratio sum over the printed asymmetric Q; ``middle``
+    is an iterator over its summands k = 0, 1, ..., each to ``order`` and
+    computed only when it is drawn.
+    """
+    w = order + 8
     q = printed_q_asym(w)
     pole = _pell_inverse(w)
     one_m_t2 = tpoly({0: 1, 2: -1}, w)
-    return q, pole, one_m_t2, -(q * one_m_t2 * pole).shift(-2)
-
-
-def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries]:
-    """The three summands of the asymmetric horizontal-ending solution."""
-    w = order + 8
-    q, pole, one_m_t2, pref = _h1_factors(w)
+    pref = -(q * one_m_t2 * pole).shift(-2)
     p1 = ((tpoly({0: 1, 1: -2, 2: 1}, w) - _sym_radical(w)) * pole
           * Fraction(1, 2))
     p2 = pref * ratio_theta(q, w)
     p = printed_p_asym(w)
     p3 = one_m_t2 * pole * ratio_theta(p, w)
-    return p1.truncate(order), p2.truncate(order), p3.truncate(order)
-
-
-def gf_h1_middle_term(k: int, order: int) -> TSeries:
-    """Summand k of the middle piece of gf_h1_pieces (its sum over k is p2)."""
-    w = order + 8
-    q, _pole, _one_m_t2, pref = _h1_factors(w)
-    return (pref * _ratio_theta_term(q, k)).truncate(order)
+    middle = ((pref * term).truncate(order) for term in _ratio_theta_terms(q, w))
+    return p1.truncate(order), p2.truncate(order), p3.truncate(order), middle
 
 
 def gf_asym_h1(order: int) -> TSeries:
-    p1, p2, p3 = gf_h1_pieces(order)
+    p1, p2, p3, _middle = gf_h1_pieces(order)
     return p1 + p2 + p3
 
 
@@ -196,12 +217,46 @@ def gf_halfplane_printed(order: int) -> TSeries:
     return (num / den).truncate(order)
 
 
+def _bargraph_newton(p: int, w: int) -> TSeries:
+    """The bargraph series h to order w, by Newton iteration.
+
+    With F(h) = h - rhs(h), each step h <- h - F(h)/F'(h) at working order m
+    starts from the previous iterate, exact to order m // 2, and is exact to
+    order m; d/dh of h/g is (1 - t^2)/g^2, with g = 1 - t^2 (1+h).  The
+    working order doubles from below p up to w, and h = 0 is exact to
+    order p.
+    """
+    orders = []
+    m = w
+    while m > p:
+        orders.append(m)
+        m //= 2
+    h = TSeries.zero(m)
+    for m in reversed(orders):
+        # the iterate is a polynomial: lift it to the new working order
+        v = h.valuation
+        h = TSeries.zero(m) if v is None else TSeries(v, h.coeffs_upto(h.order, v), m)
+        t2 = TSeries.t_power(2, m)
+        one_h = 1 + h
+        geom = 1 - t2 * one_h
+        ratio = 1 + h / geom
+        lead = TSeries.t_power(p + 1, m) * one_h.pow(p - 1)
+        rhs = lead * one_h * ratio
+        drhs = lead * (p * ratio + one_h * (1 - t2) / (geom * geom))
+        h = h - (h - rhs) / (1 - drhs)
+    if h.order < w:
+        raise ArithmeticError(f"bargraph Newton iterate reached order {h.order}, not {w}")
+    return h
+
+
 def gf_bargraph(p: int, order: int) -> tuple[TSeries, TSeries, TSeries]:
     """(h, g_p, residual) for bargraph paths above Y = p*X.
 
-    h solves h = t^(p+1) (1+h)^p (1 + h/(1 - t^2 (1+h))) by fixed-point
-    iteration from 0; each pass fixes at least one more coefficient.  The
-    returned residual is h - rhs(h), identically zero on success.
+    h solves h = t^(p+1) (1+h)^p (1 + h/(1 - t^2 (1+h))); it is found by
+    Newton iteration (_bargraph_newton) at working order order + 2, and
+    g_p = h/(1 - t^2 (1+h)).  The returned residual h - rhs(h) is evaluated
+    afresh from that equation, so it checks the solver independently; it is
+    identically zero on success.
     """
     if p < 1:
         raise ValueError("bargraph slope p must be >= 1")
@@ -211,15 +266,7 @@ def gf_bargraph(p: int, order: int) -> tuple[TSeries, TSeries, TSeries]:
         geom = 1 - (_t(w) ** 2) * (1 + h)
         return TSeries.t_power(p + 1, w) * (1 + h) ** p * (1 + h / geom)
 
-    h = TSeries.zero(w)
-    for _ in range(w + 2):
-        nxt = rhs(h)
-        if nxt.same(h):
-            h = nxt
-            break
-        h = nxt
-    else:
-        raise ArithmeticError("bargraph fixed point failed to converge")
+    h = _bargraph_newton(p, w)
     g = h / (1 - (_t(w) ** 2) * (1 + h))
     residual = h - rhs(h)
     return h.truncate(order), g.truncate(order), residual.truncate(order)
@@ -264,35 +311,40 @@ def gf_H_aya_raw(a, order: int) -> TSeries:
     n = 0 term is Laurent of valuation -1, so the sum does NOT reproduce the
     walk series (see the discrepancy ledger; the simplified form and the raw
     coefficient-ladder sum in kernel.raw_iterated_sum both do).
+
+    The product over m is carried from n - 1 to n by its m = n factor, and
+    the factors of term n are built only to the order that its prefactor
+    lifts to the working order.  No factor is cancelled against another:
+    n1/d1 stays beside the m = n factor d1/n1, as printed.
     """
     w = order + 10
     a = Fraction(a)
-    t = _t(w)
-    beta = kernel.root("asymmetric", "beta-", a, w)
+    beta_w = kernel.root("asymmetric", "beta-", a, w)
     acc = TSeries.zero(w)
+    prod = None  # the product over m = 0..n, carried forward
     n = 0
     while 2 * (n + 1) ** 2 - 3 <= order + 4:
-        pref = TSeries.t_power(2 * (n + 1) ** 2 - 3, w, Fraction(-1) / a)
+        v = 2 * (n + 1) ** 2 - 3
+        pref = TSeries.t_power(v, w, Fraction(-1) / a)
+        # the factors after pref count only to order w - v
+        wn = min(w, w - v)
+        beta, t = beta_w.truncate(wn), _t(wn)
         n1 = (a - beta * t - a * beta * t ** 2
-              + a * beta * TSeries.t_power(2 * n + 2, w))
-        d1 = (a * (1 + beta) * TSeries.t_power(2 * n, w)
-              - beta * (a + TSeries.t_power(2 * n - 1, w)))
+              + a * beta * TSeries.t_power(2 * n + 2, wn))
+        d1 = (a * (1 + beta) * TSeries.t_power(2 * n, wn)
+              - beta * (a + TSeries.t_power(2 * n - 1, wn)))
         n2 = (a - beta * t - a * beta * t ** 2
-              - beta * TSeries.t_power(4 * n + 1, w)
-              + a * (1 + beta) * TSeries.t_power(4 * n + 2, w))
-        geo1 = tpoly({2 * j: 1 for j in range(n)} or {0: 0}, w)
-        geo2 = tpoly({2 * j: 1 for j in range(2 * n)} or {0: 0}, w)
+              - beta * TSeries.t_power(4 * n + 1, wn)
+              + a * (1 + beta) * TSeries.t_power(4 * n + 2, wn))
+        geo1 = tpoly({2 * j: 1 for j in range(n)} or {0: 0}, wn)
+        geo2 = tpoly({2 * j: 1 for j in range(2 * n)} or {0: 0}, wn)
         d2 = (a + geo1 * (a * (1 - beta) * t ** 2
-                          + a * (1 + beta) * TSeries.t_power(2 * n + 2, w))
+                          + a * (1 + beta) * TSeries.t_power(2 * n + 2, wn))
               - geo2 * beta * t)
-        term = pref * (n1 / d1) * (n2 / d2)
-        for m in range(n + 1):
-            num_m = (a * (1 + beta) * TSeries.t_power(2 * m, w)
-                     - beta * (a + TSeries.t_power(2 * m - 1, w)))
-            den_m = (a - beta * t - a * beta * t ** 2
-                     + a * beta * TSeries.t_power(2 * m + 2, w))
-            term = term * (num_m / den_m)
-        acc = acc + term
+        # the m = n factor is d1/n1; it is kept apart, as printed
+        factor = d1 / n1
+        prod = factor if prod is None else prod * factor
+        acc = acc + pref * (n1 / d1) * (n2 / d2) * prod
         n += 1
     return acc.truncate(order)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -52,7 +53,7 @@ class SqrtBranchError(SeriesError):
 
 
 def _dot(xs, ys) -> int:
-    return sum(x * y for x, y in zip(xs, ys))
+    return sum(map(operator.mul, xs, ys))
 
 
 class TSeries:

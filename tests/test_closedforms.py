@@ -1,10 +1,12 @@
 """Closed-form series against enumeration, theta sums, and the identities
 that the verification suites compare."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from wedgewalks import cli
 from wedgewalks import closedforms as cf
 from wedgewalks import kernel, suites
 from wedgewalks.errors import BudgetError
@@ -13,6 +15,109 @@ from wedgewalks.series import TSeries, tpoly
 
 def _count_series(table, order):
     return TSeries.from_dict(dict(enumerate(table.counts[: order + 1])), order)
+
+
+# -- reference implementations: every term from scratch at full order -------
+
+def _reference_alternating_theta(q, order):
+    vq = q.valuation
+    acc = TSeries.constant(1, order)
+    n = 1
+    qp = TSeries.constant(1, q.order)
+    while n * n + n * vq <= order:
+        qp = qp * q
+        term = qp.shift(n * n)
+        acc = acc + (term if n % 2 == 0 else term.neg())
+        n += 1
+    return acc.truncate(min(order, acc.order))
+
+
+def _reference_ratio_theta(q, order):
+    vq = q.valuation
+    acc = TSeries.zero(order)
+    n = 0
+    while 2 * n * n + 2 * n * (vq - 1) <= order:
+        u = q.shift(2 * n - 1)
+        bracket = (1 - u) / (1 + u)
+        acc = acc + (bracket * q.pow(2 * n).shift(2 * n * (n - 1)) if n else bracket)
+        n += 1
+    return acc.truncate(min(order, acc.order))
+
+
+def _reference_bargraph(p, order):
+    """Picard iteration from 0, every pass at full order."""
+    w = order + 2
+    t = TSeries.t_power(1, w)
+
+    def rhs(h):
+        geom = 1 - (t ** 2) * (1 + h)
+        return TSeries.t_power(p + 1, w) * (1 + h) ** p * (1 + h / geom)
+
+    h = TSeries.zero(w)
+    for _ in range(w + 2):
+        nxt = rhs(h)
+        if nxt.same(h):
+            h = nxt
+            break
+        h = nxt
+    g = h / (1 - (t ** 2) * (1 + h))
+    residual = h - rhs(h)
+    return h.truncate(order), g.truncate(order), residual.truncate(order)
+
+
+def _reference_H_aya_raw(a, order):
+    """The printed expression with the product over m = 0..n redone for each n."""
+    w = order + 10
+    a = Fraction(a)
+    t = TSeries.t_power(1, w)
+    beta = kernel.root("asymmetric", "beta-", a, w)
+    acc = TSeries.zero(w)
+    n = 0
+    while 2 * (n + 1) ** 2 - 3 <= order + 4:
+        pref = TSeries.t_power(2 * (n + 1) ** 2 - 3, w, Fraction(-1) / a)
+        n1 = (a - beta * t - a * beta * t ** 2
+              + a * beta * TSeries.t_power(2 * n + 2, w))
+        d1 = (a * (1 + beta) * TSeries.t_power(2 * n, w)
+              - beta * (a + TSeries.t_power(2 * n - 1, w)))
+        n2 = (a - beta * t - a * beta * t ** 2
+              - beta * TSeries.t_power(4 * n + 1, w)
+              + a * (1 + beta) * TSeries.t_power(4 * n + 2, w))
+        geo1 = tpoly({2 * j: 1 for j in range(n)} or {0: 0}, w)
+        geo2 = tpoly({2 * j: 1 for j in range(2 * n)} or {0: 0}, w)
+        d2 = (a + geo1 * (a * (1 - beta) * t ** 2
+                          + a * (1 + beta) * TSeries.t_power(2 * n + 2, w))
+              - geo2 * beta * t)
+        term = pref * (n1 / d1) * (n2 / d2)
+        for m in range(n + 1):
+            num_m = (a * (1 + beta) * TSeries.t_power(2 * m, w)
+                     - beta * (a + TSeries.t_power(2 * m - 1, w)))
+            den_m = (a - beta * t - a * beta * t ** 2
+                     + a * beta * TSeries.t_power(2 * m + 2, w))
+            term = term * (num_m / den_m)
+        acc = acc + term
+        n += 1
+    return acc.truncate(order)
+
+
+ORDERS = (0, 1, 2, 7, 24, 60)
+
+
+def _theta_arguments():
+    """q builders (from the order) with rational coefficients: valuations 1,
+    2 and 3 known beyond the sum's order or below it, a q whose n = 0
+    bracket is Laurent (q = -t + ...), and the printed asymmetric Q at 2/3."""
+    out = []
+    for v in (1, 2, 3):
+        entries = {v: Fraction(3, 2), v + 1: Fraction(-2, 5), v + 2: 1, v + 4: Fraction(7, 3)}
+        out.append(pytest.param(lambda order, e=entries: tpoly(e, order + 4), id=f"val{v}"))
+        out.append(pytest.param(lambda order, e=entries, v=v: tpoly(e, max(v, order - 3)),
+                                id=f"val{v}-short"))
+    out.append(pytest.param(
+        lambda order: tpoly({1: -1, 2: Fraction(1, 2), 5: Fraction(-4, 9)}, order + 4),
+        id="laurent-bracket"))
+    out.append(pytest.param(lambda order: kernel.q_asym(Fraction(2, 3), order + 4),
+                            id="q_asym-2/3"))
+    return out
 
 
 class TestBasicFamilies:
@@ -58,6 +163,79 @@ class TestBasicFamilies:
             cf.gf_series("nope", 10)
 
 
+class TestAgainstReference:
+    """The carried-forward builders give the same bytes as the from-scratch ones."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("make_q", _theta_arguments())
+    def test_theta_sums(self, make_q, order):
+        q = make_q(order)
+        assert cf.ratio_theta(q, order).to_json() == _reference_ratio_theta(q, order).to_json()
+        assert (cf.alternating_theta(q, order).to_json()
+                == _reference_alternating_theta(q, order).to_json())
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_bargraph(self, p, order):
+        new = [s.to_json() for s in cf.gf_bargraph(p, order)]
+        assert new == [s.to_json() for s in _reference_bargraph(p, order)]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("a", ["1", "1/2", "2/3", "-5/4", "3"])
+    def test_H_aya_raw(self, a, order):
+        a = Fraction(a)
+        assert cf.gf_H_aya_raw(a, order).to_json() == _reference_H_aya_raw(a, order).to_json()
+
+    @pytest.mark.parametrize("order", [0, 7, 24])
+    def test_middle_summands(self, order):
+        # the k-th middle summand is the prefactor times term k of the ratio sum
+        w = order + 8
+        q = cf.printed_q_asym(w)
+        pref = -(q * tpoly({0: 1, 2: -1}, w) * cf._pell_inverse(w)).shift(-2)
+        _p1, p2, _p3, middle = cf.gf_h1_pieces(order)
+        summands = list(middle)
+        for k, summand in enumerate(summands[:3]):
+            u = q.shift(2 * k - 1)
+            term = (1 - u) / (1 + u) * q.pow(2 * k).shift(2 * k * (k - 1))
+            assert summand.to_json() == (pref * term).truncate(order).to_json()
+        total = TSeries.zero(order)
+        for summand in summands:
+            total = total + summand
+        assert total.to_json() == p2.to_json()
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the named TSeries methods from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(TSeries, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(TSeries, name, counted)
+    return calls
+
+
+class TestWorkBounds:
+    """Operation counts, not timings, guard the cost of the builders."""
+
+    def test_theta_sums_carry_powers(self, monkeypatch):
+        q = kernel.q_asym(1, 124)
+        calls = _count_calls(monkeypatch, "pow")
+        cf.ratio_theta(q, 120)
+        cf.alternating_theta(q, 120)
+        assert calls["pow"] == 0
+
+    def test_bargraph_multiplications(self, monkeypatch):
+        # Newton doubling takes 70 products here; Picard iteration, one
+        # full-order pass per new coefficient pair, took 614
+        calls = _count_calls(monkeypatch, "mul")
+        cf.gf_bargraph(1, 300)
+        assert calls["mul"] < 100
+
+
 class TestBargraph:
     def test_valuation_from_defining_equation(self):
         h, _g, _res = cf.gf_bargraph(1, 30)
@@ -71,6 +249,16 @@ class TestBargraph:
     def test_slope_validation(self):
         with pytest.raises(ValueError):
             cf.gf_bargraph(0, 10)
+
+    def test_residual_checks_the_solver(self, monkeypatch, capsys):
+        # a wrong solution must show in the residual the growth suite reads
+        newton = cf._bargraph_newton
+        monkeypatch.setattr(cf, "_bargraph_newton",
+                            lambda p, w: newton(p, w) + TSeries.t_power(7, w))
+        assert cli.main(["verify", "--suite", "growth"]) == cli.EXIT_VERIFY_FAIL
+        results = json.loads(capsys.readouterr().out)["results"]
+        bars = [r for r in results if r["identity"] == "bargraph fixed-point residual"]
+        assert [(r["status"], r["first_bad_coefficient"]) for r in bars] == [("fail", 7)] * 3
 
 
 class TestThetaSums:
