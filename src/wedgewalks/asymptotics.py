@@ -13,6 +13,7 @@ arithmetic; only the roots it prints are numeric.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ import mpmath
 
 from . import closedforms as cf
 from .errors import BudgetError
+from .series import TSeries
 from .walks import CountTable
 
 #: reference decimal strings for every reproduced constant
@@ -397,7 +399,9 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
             | {"improving": bool(abs(ratios[n_max] - 1) < abs(ratios[n_max // 2] - 1))},
         ))
 
-        # (ii) per-summand comparison
+        # (ii) per-summand comparison; summands past the last term of the
+        # ratio sum below order n_max are exactly zero, and still reported
+        middle = itertools.chain(middle, itertools.repeat(TSeries.zero(n_max)))
         for k, summand in zip(range(3), middle):
             exact = coeff(summand, n_max)
             formula = _p2k_formula(k, n_max)

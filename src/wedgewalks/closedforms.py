@@ -178,7 +178,9 @@ def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSerie
     p1 + p2 + p3 is the solution.  The middle piece p2 is -q (1 - t^2)
     pole / t^2 times the ratio sum over the printed asymmetric Q; ``middle``
     is an iterator over its summands k = 0, 1, ..., each to ``order`` and
-    computed only when it is drawn.
+    computed only when it is drawn.  It stops after the last summand that
+    starts within the ratio sum's order; every later summand is zero to
+    ``order``.
     """
     w = order + 8
     q = printed_q_asym(w)

@@ -6,8 +6,10 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import pytest
 
+from wedgewalks import asymptotics as asy
 from wedgewalks import cli
 from wedgewalks.asymptotics import AuditError
 from wedgewalks.series import SeriesError
@@ -169,6 +171,24 @@ class TestAsympt:
         proc = subprocess.run([sys.executable, "-I", "-c", code, src],
                               capture_output=True, text=True, timeout=120)
         assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+    @pytest.mark.parametrize("nmax", [2, 12])
+    def test_p_pieces_reports_three_summands(self, nmax):
+        # below n = 13 the ratio sum has two summands; k = 2 is exactly zero
+        # there and is still reported against its formula
+        code, out = run_main("asympt", "--const", "p-pieces", "--nmax", str(nmax))
+        assert code == 0
+        reports = {r["constant"]: r for r in json.loads(out)["reports"]}
+        assert list(reports) == ["p1_ratio", "p2_summand_k0", "p2_summand_k1",
+                                 "p2_summand_k2", "p2_p3_cancellation"]
+        with mpmath.workdps(40):
+            formula = asy._p2k_formula(2, nmax) / (1 + mpmath.sqrt(2)) ** nmax
+            formula = mpmath.nstr(formula, 8, strip_zeros=False)
+        k2 = reports["p2_summand_k2"]
+        assert k2["value"] == "0.0"
+        assert k2["diagnostics"] == {"exact_over_mu_n": "0.0",
+                                     "formula_over_mu_n": formula,
+                                     "relative_gap": "1.000"}
 
     def test_accuracy_table(self):
         code, out = run_main("asympt", "--const", "eq-accuracy")

@@ -186,17 +186,20 @@ class TestAgainstReference:
         a = Fraction(a)
         assert cf.gf_H_aya_raw(a, order).to_json() == _reference_H_aya_raw(a, order).to_json()
 
-    @pytest.mark.parametrize("order", [0, 7, 24])
-    def test_middle_summands(self, order):
-        # the k-th middle summand is the prefactor times term k of the ratio sum
+    @pytest.mark.parametrize("order,drawn", [(0, 1), (7, 2), (12, 2), (13, 3), (24, 3)])
+    def test_middle_summands(self, order, drawn):
+        # the k-th middle summand is the prefactor times term k of the ratio
+        # sum; past the last summand drawn, that product is zero to ``order``
         w = order + 8
         q = cf.printed_q_asym(w)
         pref = -(q * tpoly({0: 1, 2: -1}, w) * cf._pell_inverse(w)).shift(-2)
         _p1, p2, _p3, middle = cf.gf_h1_pieces(order)
         summands = list(middle)
-        for k, summand in enumerate(summands[:3]):
+        assert len(summands) == drawn
+        for k in range(3):
             u = q.shift(2 * k - 1)
             term = (1 - u) / (1 + u) * q.pow(2 * k).shift(2 * k * (k - 1))
+            summand = summands[k] if k < drawn else TSeries.zero(order)
             assert summand.to_json() == (pref * term).truncate(order).to_json()
         total = TSeries.zero(order)
         for summand in summands:
