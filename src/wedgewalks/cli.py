@@ -30,12 +30,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# kinds whose --a is a root argument, which must be nonzero
-_A_KINDS = ("theta_sym", "theta_asym_q", "theta_asym_p", "F_aya", "H_aya_raw",
-            "H_aya_simplified")
-# the smallest --nmax at which each asympt constant has data to fit
-_MIN_NMAX = {"A1A2": 60, "B0": 10, "halfplane": 10, "p-pieces": 2}
-
 
 class UsageError(Exception):
     """Invalid flags found by the command line itself; the only exit 2 after parsing."""
@@ -78,7 +72,11 @@ def _attach_negative_a(argv: list[str]) -> list[str]:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -101,7 +99,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.kind in _A_KINDS and args.a == 0:
+    if args.kind in cf.ROOT_ARG_KINDS and args.a == 0:
         raise UsageError(f"--a must be nonzero for --kind {args.kind}")
     if args.kind == "weighted":
         w = weighted_gf(args.model, args.p, args.order)
@@ -132,48 +130,43 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["clean"] else EXIT_VERIFY_FAIL
 
 
+#: each asympt constant -> (the smallest --nmax at which it has data to fit,
+#: its builder from the flags and the fit checkpoints); a builder returns its
+#: reports, or a dict of named extras
+_CONSTS = {
+    "A0": (0, lambda args, cps: [asy.constant_A0(args.digits)]),
+    "A1A2": (60, lambda args, cps: asy.constants_A1A2(
+        count_walks(WedgeModel("symmetric", 1), min(args.nmax, 201)),
+        max(args.digits, 60))),
+    "theta": (0, lambda args, cps: [asy.constant_theta(args.digits)]),
+    "B0": (10, lambda args, cps: [asy.constant_B0(
+        count_walks(WedgeModel("asymmetric", 1), args.nmax), cps, args.digits)]),
+    "halfplane": (10, lambda args, cps: [asy.constant_halfplane(
+        count_walks(WedgeModel("halfplane", 1), args.nmax), cps, args.digits)]),
+    "eq-accuracy": (0, lambda args, cps: {"accuracy_table": asy.eq37_accuracy(
+        count_walks(WedgeModel("symmetric", 1), 40), args.digits)}),
+    "p-pieces": (2, lambda args, cps: asy.p_pieces_asymptotics(
+        min(args.nmax, 200), args.digits)),
+    "roots": (0, lambda args, cps: {
+        "root_audit": asy.root_audit(args.kmax, args.digits).to_dict()}),
+}
+
+
 def cmd_asympt(args) -> int:
-    digits = args.digits
-    reports = []
-    extras: dict = {}
     want = args.const
-    need = max([n for c, n in _MIN_NMAX.items() if want in (c, "all")], default=0)
+    wanted = [c for c in _CONSTS if want in (c, "all")]
+    need = max(_CONSTS[c][0] for c in wanted)
     if args.nmax < need:
         raise UsageError(f"--const {want} needs --nmax >= {need}")
-
-    def need_counts(kind: str, n: int):
-        return count_walks(WedgeModel(kind, 1), n)
-
     checkpoints = tuple(n for n in (args.nmax // 4, args.nmax // 2, args.nmax)
                         if n >= 10)
-
-    if want in ("A0", "all"):
-        reports.append(asy.constant_A0(digits))
-    if want in ("A1A2", "all"):
-        vt = need_counts("symmetric", min(args.nmax, 201))
-        reports.extend(asy.constants_A1A2(vt, max(digits, 60)))
-    if want in ("theta", "all"):
-        reports.append(asy.constant_theta(digits))
-    if want in ("B0", "all"):
-        wt = need_counts("asymmetric", args.nmax)
-        reports.append(asy.constant_B0(wt, checkpoints, digits))
-    if want in ("halfplane", "all"):
-        ht = need_counts("halfplane", args.nmax)
-        reports.append(asy.constant_halfplane(ht, checkpoints, digits))
-    if want in ("eq-accuracy", "all"):
-        vt = need_counts("symmetric", 40)
-        extras["accuracy_table"] = asy.eq37_accuracy(vt, digits)
-    if want in ("p-pieces", "all"):
-        reports.extend(asy.p_pieces_asymptotics(min(args.nmax, 200), digits))
-    if want in ("roots", "all"):
-        extras["root_audit"] = asy.root_audit(args.kmax, digits).to_dict()
-
-    payload = {
-        "schema": 1,
-        "digits": digits,
-        "reports": [r.to_dict() for r in reports],
-        **extras,
-    }
+    payload = {"schema": 1, "digits": args.digits, "reports": []}
+    for c in wanted:
+        built = _CONSTS[c][1](args, checkpoints)
+        if isinstance(built, dict):
+            payload.update(built)
+        else:
+            payload["reports"] += [r.to_dict() for r in built]
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -255,10 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("asympt", help="asymptotic constants and audits")
-    p.add_argument("--const",
-                   choices=("A0", "A1A2", "theta", "B0", "halfplane",
-                            "eq-accuracy", "p-pieces", "roots", "all"),
-                   default="all")
+    p.add_argument("--const", choices=(*_CONSTS, "all"), default="all")
     p.add_argument("--digits", type=_positive_int, default=digits)
     p.add_argument("--nmax", type=_nonnegative_int, default=400)
     p.add_argument("--kmax", type=_nonnegative_int, default=20)

@@ -15,30 +15,10 @@ from fractions import Fraction
 
 from . import kernel
 from .errors import BudgetError
+from .kernel import tvar
 from .series import TSeries, tpoly
 
-GF_KINDS = (
-    "free",
-    "dyck",
-    "bargraph",
-    "sym_f1",
-    "sym_g1",
-    "asym_h1",
-    "asym_k1",
-    "halfplane",
-    "theta_sym",
-    "theta_asym_q",
-    "theta_asym_p",
-    "F_aya",
-    "H_aya_raw",
-    "H_aya_simplified",
-)
-
 _MAX_ORDER = 1200
-
-
-def _t(order: int) -> TSeries:
-    return TSeries.t_power(1, order)
 
 
 def _pell_inverse(order: int) -> TSeries:
@@ -59,7 +39,7 @@ def _asym_radical(order: int) -> TSeries:
 def printed_q_sym(order: int) -> TSeries:
     """(1 - 3t^2 - sqrt((1-t^2)(1-5t^2))) / (2t)."""
     w = order + 4
-    return ((tpoly({0: 1, 2: -3}, w) - _sym_radical(w)) / (2 * _t(w))).truncate(order)
+    return ((tpoly({0: 1, 2: -3}, w) - _sym_radical(w)) / (2 * tvar(w))).truncate(order)
 
 
 def printed_q_asym(order: int) -> TSeries:
@@ -149,7 +129,7 @@ def gf_free(order: int) -> TSeries:
 def gf_dyck(order: int) -> TSeries:
     w = order + 2
     num = 1 - tpoly({0: 1, 1: -4}, w).sqrt()
-    return (num / (2 * _t(w))).truncate(order)
+    return (num / (2 * tvar(w))).truncate(order)
 
 
 def gf_sym_f1(order: int) -> TSeries:
@@ -168,7 +148,7 @@ def gf_sym_g1(order: int) -> TSeries:
     s = alternating_theta(printed_q_sym(w), w)
     pole = _pell_inverse(w)
     res = (tpoly({0: 1, 1: 1}, w) * pole
-           - ((tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) / _t(w)) * pole * s)
+           - ((tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) / tvar(w)) * pole * s)
     return res.truncate(order)
 
 
@@ -203,7 +183,7 @@ def gf_asym_h1(order: int) -> TSeries:
 
 def gf_asym_k1(order: int) -> TSeries:
     h = gf_asym_h1(order + 1)
-    return ((h - 1) / _t(order + 1)).truncate(order)
+    return ((h - 1) / tvar(order + 1)).truncate(order)
 
 
 def gf_halfplane_printed(order: int) -> TSeries:
@@ -265,11 +245,11 @@ def gf_bargraph(p: int, order: int) -> tuple[TSeries, TSeries, TSeries]:
     w = order + 2
 
     def rhs(h: TSeries) -> TSeries:
-        geom = 1 - (_t(w) ** 2) * (1 + h)
+        geom = 1 - (tvar(w) ** 2) * (1 + h)
         return TSeries.t_power(p + 1, w) * (1 + h) ** p * (1 + h / geom)
 
     h = _bargraph_newton(p, w)
-    g = h / (1 - (_t(w) ** 2) * (1 + h))
+    g = h / (1 - (tvar(w) ** 2) * (1 + h))
     residual = h - rhs(h)
     return h.truncate(order), g.truncate(order), residual.truncate(order)
 
@@ -330,7 +310,7 @@ def gf_H_aya_raw(a, order: int) -> TSeries:
         pref = TSeries.t_power(v, w, Fraction(-1) / a)
         # the factors after pref count only to order w - v
         wn = min(w, w - v)
-        beta, t = beta_w.truncate(wn), _t(wn)
+        beta, t = beta_w.truncate(wn), tvar(wn)
         n1 = (a - beta * t - a * beta * t ** 2
               + a * beta * TSeries.t_power(2 * n + 2, wn))
         d1 = (a * (1 + beta) * TSeries.t_power(2 * n, wn)
@@ -351,36 +331,37 @@ def gf_H_aya_raw(a, order: int) -> TSeries:
     return acc.truncate(order)
 
 
+#: every closed-form family by its ``series --kind`` name, as a builder
+#: (order, a, p).  Each entry looks its module-level builder up when called,
+#: so a wrapped builder (a tracer's, a test's) is the one that runs.
+_GF_BUILDERS = {
+    "free": lambda order, a, p: gf_free(order),
+    "dyck": lambda order, a, p: gf_dyck(order),
+    "bargraph": lambda order, a, p: gf_bargraph(p, order)[1],
+    "sym_f1": lambda order, a, p: gf_sym_f1(order),
+    "sym_g1": lambda order, a, p: gf_sym_g1(order),
+    "asym_h1": lambda order, a, p: gf_asym_h1(order),
+    "asym_k1": lambda order, a, p: gf_asym_k1(order),
+    "halfplane": lambda order, a, p: gf_halfplane_printed(order),
+}
+#: the families whose ``a`` is a root argument, which must be nonzero
+_ROOT_ARG_BUILDERS = {
+    "theta_sym": lambda order, a, p: theta_sum("sym", a, order),
+    "theta_asym_q": lambda order, a, p: theta_sum("asym_q", a, order),
+    "theta_asym_p": lambda order, a, p: theta_sum("asym_p", a, order),
+    "F_aya": lambda order, a, p: gf_F_aya(a, order),
+    "H_aya_raw": lambda order, a, p: gf_H_aya_raw(a, order),
+    "H_aya_simplified": lambda order, a, p: gf_H_aya_simplified(a, order),
+}
+_GF_BUILDERS.update(_ROOT_ARG_BUILDERS)
+GF_KINDS = tuple(_GF_BUILDERS)
+ROOT_ARG_KINDS = tuple(_ROOT_ARG_BUILDERS)
+
+
 def gf_series(kind: str, order: int, a=Fraction(1), p: int = 1) -> TSeries:
     """Dispatcher over every closed-form family."""
     if order > _MAX_ORDER:
         raise BudgetError(f"order {order} exceeds the budget of {_MAX_ORDER}")
-    if kind == "free":
-        return gf_free(order)
-    if kind == "dyck":
-        return gf_dyck(order)
-    if kind == "bargraph":
-        return gf_bargraph(p, order)[1]
-    if kind == "sym_f1":
-        return gf_sym_f1(order)
-    if kind == "sym_g1":
-        return gf_sym_g1(order)
-    if kind == "asym_h1":
-        return gf_asym_h1(order)
-    if kind == "asym_k1":
-        return gf_asym_k1(order)
-    if kind == "halfplane":
-        return gf_halfplane_printed(order)
-    if kind == "theta_sym":
-        return theta_sum("sym", a, order)
-    if kind == "theta_asym_q":
-        return theta_sum("asym_q", a, order)
-    if kind == "theta_asym_p":
-        return theta_sum("asym_p", a, order)
-    if kind == "F_aya":
-        return gf_F_aya(a, order)
-    if kind == "H_aya_raw":
-        return gf_H_aya_raw(a, order)
-    if kind == "H_aya_simplified":
-        return gf_H_aya_simplified(a, order)
-    raise ValueError(f"unknown generating-function kind {kind!r}")
+    if kind not in _GF_BUILDERS:
+        raise ValueError(f"unknown generating-function kind {kind!r}")
+    return _GF_BUILDERS[kind](order, a, p)

@@ -291,37 +291,37 @@ def suite_interpretations(order: int = 20) -> list[Verdict]:
     return out
 
 
+def _holds(identity: str, ok: bool, note: str = "", **params) -> Verdict:
+    """The growth suite's verdict on a property that holds or does not."""
+    return Verdict("growth", identity, params, None, "pass" if ok else "fail", note=note)
+
+
 def suite_growth(n_max: int = 30, sandwich_n: int = 100) -> list[Verdict]:
     out = []
     for kind in ("symmetric", "asymmetric"):
         for p in (1, 2, 3):
             rep = growth_inequalities(kind, p, n_max, n_max)
-            out.append(Verdict("growth", "super-multiplicativity",
-                               {"model": kind, "p": p, "n_max": n_max},
-                               None, "pass" if rep["ok"] else "fail",
-                               note=str(rep["first_violation"] or "")))
+            out.append(_holds("super-multiplicativity", rep["ok"],
+                              str(rep["first_violation"] or ""),
+                              model=kind, p=p, n_max=n_max))
     for p in (1, 2):
         rep = prepend_inequality(p, 6, 3)
-        out.append(Verdict("growth", "block-prepending inequality",
-                           {"p": p, "n_max": 6, "reps_max": 3}, None,
-                           "pass" if rep["ok"] else "fail",
-                           note=str(rep["first_violation"] or "")))
+        out.append(_holds("block-prepending inequality", rep["ok"],
+                          str(rep["first_violation"] or ""),
+                          p=p, n_max=6, reps_max=3))
 
     ct = count_walks(WedgeModel("free", 1), sandwich_n)
     vt = count_walks(WedgeModel("symmetric", 1), sandwich_n)
     wt = count_walks(WedgeModel("asymmetric", 1), sandwich_n)
-    sandwich_ok = all(wt[n] <= vt[n] <= ct[n] for n in range(sandwich_n + 1))
-    out.append(Verdict("growth", "sandwich w <= v <= c",
-                       {"n_max": sandwich_n}, None,
-                       "pass" if sandwich_ok else "fail"))
+    out.append(_holds("sandwich w <= v <= c",
+                      all(wt[n] <= vt[n] <= ct[n] for n in range(sandwich_n + 1)),
+                      n_max=sandwich_n))
     mono = all(all(tab[n + 1] >= tab[n] for n in range(len(tab) - 1))
                for tab in (ct, vt, wt))
-    out.append(Verdict("growth", "counts nondecreasing", {"n_max": sandwich_n},
-                       None, "pass" if mono else "fail"))
+    out.append(_holds("counts nondecreasing", mono, n_max=sandwich_n))
     v2 = count_walks(WedgeModel("symmetric", 2), n_max)
-    contain = all(vt[n] <= v2[n] for n in range(n_max + 1))
-    out.append(Verdict("growth", "wedge containment p=1 vs p=2",
-                       {"n_max": n_max}, None, "pass" if contain else "fail"))
+    out.append(_holds("wedge containment p=1 vs p=2",
+                      all(vt[n] <= v2[n] for n in range(n_max + 1)), n_max=n_max))
 
     g = cf.gf_dyck(50)
     t = TSeries.t_power(1, 50)

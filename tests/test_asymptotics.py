@@ -176,6 +176,12 @@ class TestRootAudit:
         assert audit.ok
         assert len(audit.results) == 24  # two families, k = -1..10
 
+    def test_ok_is_not_a_field(self, audit):
+        # a failing audit raises AuditError, so there is no false verdict to carry
+        with pytest.raises(TypeError):
+            asy.RootAudit((-1, 0), 30, [], False)
+        assert audit.to_dict()["ok"] is True
+
     def test_flagged_other_branch_point(self, audit):
         flagged = [r for r in audit.results if r["flagged"]]
         assert len(flagged) == 1

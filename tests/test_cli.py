@@ -1,5 +1,8 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -16,9 +19,6 @@ from wedgewalks.series import SeriesError
 
 
 def run_main(*argv) -> tuple[int, str]:
-    import contextlib
-    import io
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
@@ -43,6 +43,14 @@ class TestCount:
         a = run_main("count", "--model", "asymmetric", "--n", "25")
         b = run_main("count", "--model", "asymmetric", "--n", "25")
         assert a == b
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code = cli.main(["count", "--model", "symmetric", "--n", "0",
+                         "--out", str(target)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot write --out {target}: No such file or directory\n")
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "counts.csv"
@@ -95,7 +103,7 @@ class TestSeries:
         deeper = cli.cf.gf_series("theta_asym_p", order + 10, a=-1)
         assert rows == [f"{k},{deeper.coeff(k)}" for k in range(order + 1)]
 
-    @pytest.mark.parametrize("kind", cli._A_KINDS)
+    @pytest.mark.parametrize("kind", cli.cf.ROOT_ARG_KINDS)
     def test_negative_rational_after_a_space(self, kind):
         spaced = run_main("series", "--kind", kind, "--a", "-1/2", "--order", "6")
         joined = run_main("series", "--kind", kind, "--a=-1/2", "--order", "6")
@@ -194,6 +202,15 @@ class TestAsympt:
         code, out = run_main("asympt", "--const", "eq-accuracy")
         payload = json.loads(out)
         assert payload["accuracy_table"]["ok"] is True
+
+    @pytest.mark.parametrize("digits", [*range(1, 13), 30])
+    def test_accuracy_verdict_does_not_depend_on_digits(self, digits):
+        code, out = run_main("asympt", "--const", "eq-accuracy", "--digits", str(digits))
+        assert code == 0
+        table = json.loads(out)["accuracy_table"]
+        assert table["ok"] is True
+        _code, at_30 = run_main("asympt", "--const", "eq-accuracy", "--digits", "30")
+        assert table == json.loads(at_30)["accuracy_table"]
 
 
 class TestLedgerVerb:
@@ -306,3 +323,62 @@ class TestReport:
         assert any(e["id"] == "halfplane-gf" for e in payload["ledger"])
         names = {r["constant"] for r in payload["constants"]}
         assert {"A0", "theta"} <= names
+
+
+#: the first 16 hex digits of sha256(f"{exit code}\0{stdout}\0{stderr}") of
+#: cheap invocations, recorded at e5a4fe5 with COLUMNS=80 (argparse wraps its
+#: usage line to the terminal width); a refactor must leave every one unchanged
+PINNED = {
+    "series --kind free --order 24 --format json": "6e5add70365385e4",
+    "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
+    "series --kind bargraph --order 24 --format json": "5d60e91f0272d95b",
+    "series --kind sym_f1 --order 24 --format json": "6b405b66565186b1",
+    "series --kind sym_g1 --order 24 --format json": "f73ae14f84499246",
+    "series --kind asym_h1 --order 24 --format json": "5fcb068e46d29133",
+    "series --kind asym_k1 --order 24 --format json": "a189c429c89a7fc3",
+    "series --kind halfplane --order 24 --format json": "91f30c9c658a1217",
+    "series --kind theta_sym --order 24 --format json": "55a77ef8c653badd",
+    "series --kind theta_asym_q --order 24 --format json": "2b0c4d885988625e",
+    "series --kind theta_asym_p --order 24 --format json": "a655c0c569195211",
+    "series --kind F_aya --order 24 --format json": "deefb0e0b258b1c1",
+    "series --kind H_aya_raw --order 24 --format json": "697214226ce11f7f",
+    "series --kind H_aya_simplified --order 24 --format json": "dc7fffa02e331dc5",
+    "asympt --const A0": "1ce66e902f1fa2e3",
+    "asympt --const theta": "b88e49ad4db310d3",
+    "asympt --const eq-accuracy": "bc596bfe324eb90e",
+    "verify --suite interpretations": "5214c889ee8387ba",
+    "ledger list": "79d4170e27900deb",
+    "ledger explain --id halfplane-gf": "564d8e5c75c8951f",
+    "ledger explain --id flat-boundary-interpretation": "e255f3e0a937aaba",
+    "ledger explain --id diag-boundary-interpretation": "7ac6c2ee69944835",
+    "ledger explain --id term-by-term-solution": "d3ab798c2ec96d47",
+    "ledger explain --id p2-summand-tail": "f6011d3247adc2a4",
+    "ledger explain --id sqrt-n-constant-pair": "b07d32427a08a83f",
+    "ledger explain --id accuracy-table-figures": "a5d751274161ff71",
+    "series --kind bogus": "2491b617c6fd5a80",
+    "asympt --const bogus": "311e38d668060afb",
+    "asympt --const B0 --nmax 9": "b34bc1a31bff50f0",
+    "asympt --const all --nmax 59": "b2dcaae12b220379",
+    "asympt --nmax -1": "771fe486ada74560",
+    "series --kind H_aya_raw --a 0": "94b6e032a0c92beb",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("line", PINNED)
+    def test_bytes_unchanged(self, monkeypatch, line):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("WEDGEWALKS_DIGITS", raising=False)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(line.split())
+            except SystemExit as exc:  # argparse's own exit 2
+                code = exc.code
+        digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
+        assert digest.hexdigest()[:16] == PINNED[line]
+
+    def test_covers_every_kind_and_ledger_entry(self):
+        kinds = {f"series --kind {k} --order 24 --format json" for k in cli.cf.GF_KINDS}
+        ids = {f"ledger explain --id {d.id}" for d in cli.discrepancies.LEDGER}
+        assert kinds | ids <= set(PINNED)

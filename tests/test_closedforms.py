@@ -163,6 +163,43 @@ class TestBasicFamilies:
             cf.gf_series("nope", 10)
 
 
+class TestKindTable:
+    #: each series kind, in ``series --kind`` order, and its builder called directly
+    DIRECT = {
+        "free": lambda order, a: cf.gf_free(order),
+        "dyck": lambda order, a: cf.gf_dyck(order),
+        "bargraph": lambda order, a: cf.gf_bargraph(1, order)[1],
+        "sym_f1": lambda order, a: cf.gf_sym_f1(order),
+        "sym_g1": lambda order, a: cf.gf_sym_g1(order),
+        "asym_h1": lambda order, a: cf.gf_asym_h1(order),
+        "asym_k1": lambda order, a: cf.gf_asym_k1(order),
+        "halfplane": lambda order, a: cf.gf_halfplane_printed(order),
+        "theta_sym": lambda order, a: cf.theta_sum("sym", a, order),
+        "theta_asym_q": lambda order, a: cf.theta_sum("asym_q", a, order),
+        "theta_asym_p": lambda order, a: cf.theta_sum("asym_p", a, order),
+        "F_aya": lambda order, a: cf.gf_F_aya(a, order),
+        "H_aya_raw": lambda order, a: cf.gf_H_aya_raw(a, order),
+        "H_aya_simplified": lambda order, a: cf.gf_H_aya_simplified(a, order),
+    }
+
+    def test_kinds_in_order(self):
+        assert cf.GF_KINDS == tuple(self.DIRECT)
+
+    @pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2)], ids=["a=1", "a=1/2"])
+    @pytest.mark.parametrize("kind", cf.GF_KINDS)
+    def test_entry_is_its_builder(self, kind, a):
+        assert cf.gf_series(kind, 12, a=a).same(self.DIRECT[kind](12, a))
+
+    def test_bargraph_takes_p(self):
+        assert cf.gf_series("bargraph", 12, p=3).same(cf.gf_bargraph(3, 12)[1])
+
+    def test_root_argument_kinds_are_those_that_read_a(self):
+        reads_a = {kind for kind in cf.GF_KINDS
+                   if not cf.gf_series(kind, 12, a=Fraction(1, 2)).same(
+                       cf.gf_series(kind, 12))}
+        assert set(cf.ROOT_ARG_KINDS) == reads_a
+
+
 class TestAgainstReference:
     """The carried-forward builders give the same bytes as the from-scratch ones."""
 
