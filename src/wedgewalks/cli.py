@@ -7,6 +7,11 @@ output.
 
 Exit codes: 0 success, 1 unexpected verification failure or internal error,
 2 invalid flags, 3 resource budget exceeded.
+
+``main`` builds its argparse tree once per process and reuses it; only
+``WEDGEWALKS_DIGITS`` is read again on every call.  ``asymptotics`` (and so
+mpmath) is imported by ``asympt`` and ``report`` alone, so ``count``,
+``series``, ``verify`` and ``ledger`` never load mpmath.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from . import asymptotics as asy
 from . import closedforms as cf
 from . import discrepancies, suites
 from .errors import BudgetError
@@ -131,28 +135,30 @@ def cmd_verify(args) -> int:
 
 
 #: each asympt constant -> (the smallest --nmax at which it has data to fit,
-#: its builder from the flags and the fit checkpoints); a builder returns its
-#: reports, or a dict of named extras
+#: its builder from the asymptotics module, the flags and the fit
+#: checkpoints); a builder returns its reports, or a dict of named extras
 _CONSTS = {
-    "A0": (0, lambda args, cps: [asy.constant_A0(args.digits)]),
-    "A1A2": (60, lambda args, cps: asy.constants_A1A2(
+    "A0": (0, lambda asy, args, cps: [asy.constant_A0(args.digits)]),
+    "A1A2": (60, lambda asy, args, cps: asy.constants_A1A2(
         count_walks(WedgeModel("symmetric", 1), min(args.nmax, 201)),
         max(args.digits, 60))),
-    "theta": (0, lambda args, cps: [asy.constant_theta(args.digits)]),
-    "B0": (10, lambda args, cps: [asy.constant_B0(
+    "theta": (0, lambda asy, args, cps: [asy.constant_theta(args.digits)]),
+    "B0": (10, lambda asy, args, cps: [asy.constant_B0(
         count_walks(WedgeModel("asymmetric", 1), args.nmax), cps, args.digits)]),
-    "halfplane": (10, lambda args, cps: [asy.constant_halfplane(
+    "halfplane": (10, lambda asy, args, cps: [asy.constant_halfplane(
         count_walks(WedgeModel("halfplane", 1), args.nmax), cps, args.digits)]),
-    "eq-accuracy": (0, lambda args, cps: {"accuracy_table": asy.eq37_accuracy(
+    "eq-accuracy": (0, lambda asy, args, cps: {"accuracy_table": asy.eq37_accuracy(
         count_walks(WedgeModel("symmetric", 1), 40), args.digits)}),
-    "p-pieces": (2, lambda args, cps: asy.p_pieces_asymptotics(
+    "p-pieces": (2, lambda asy, args, cps: asy.p_pieces_asymptotics(
         min(args.nmax, 200), args.digits)),
-    "roots": (0, lambda args, cps: {
+    "roots": (0, lambda asy, args, cps: {
         "root_audit": asy.root_audit(args.kmax, args.digits).to_dict()}),
 }
 
 
 def cmd_asympt(args) -> int:
+    from . import asymptotics as asy
+
     want = args.const
     wanted = [c for c in _CONSTS if want in (c, "all")]
     need = max(_CONSTS[c][0] for c in wanted)
@@ -162,7 +168,7 @@ def cmd_asympt(args) -> int:
                         if n >= 10)
     payload = {"schema": 1, "digits": args.digits, "reports": []}
     for c in wanted:
-        built = _CONSTS[c][1](args, checkpoints)
+        built = _CONSTS[c][1](asy, args, checkpoints)
         if isinstance(built, dict):
             payload.update(built)
         else:
@@ -173,6 +179,8 @@ def cmd_asympt(args) -> int:
 
 def cmd_report(args) -> int:
     """Bundle counts, series heads, verdicts, and constants into one document."""
+    from . import asymptotics as asy
+
     n = args.nmax
     bundle: dict = {"schema": 1, "version": __version__}
     bundle["counts"] = {}
@@ -208,15 +216,22 @@ def cmd_ledger(args) -> int:
     return EXIT_OK
 
 
+def _env_digits() -> str:
+    """The --digits default of asympt and report.  argparse converts a string
+    default by its type only when that verb is parsed, so a bad value is a
+    usage error of those two verbs alone."""
+    return os.environ.get("WEDGEWALKS_DIGITS", "30")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; main builds one and keeps it."""
     top = argparse.ArgumentParser(
         prog="wedgewalks",
         description="Exact enumeration, generating functions, verification "
                     "suites, and asymptotics for partially directed walks "
                     "in wedges.")
     top.add_argument("--version", action="version", version=__version__)
-    # a string default is converted by its type only when that verb is parsed
-    digits = os.environ.get("WEDGEWALKS_DIGITS", "30")
+    digits = _env_digits()
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("count", help="exact walk counts by length")
@@ -270,9 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+#: main's parser and the verb parsers whose --digits default it refreshes,
+#: filled by the first call of main
+_PARSER: dict = {}
+
+
+def _parser() -> argparse.ArgumentParser:
+    if not _PARSER:
+        top = build_parser()
+        (verbs,) = [action.choices for action in top._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+        _PARSER.update(top=top, digits=(verbs["asympt"], verbs["report"]))
+    for verb in _PARSER["digits"]:
+        verb.set_defaults(digits=_env_digits())
+    return _PARSER["top"]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_a(argv))
+    args = _parser().parse_args(_attach_negative_a(argv))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -271,7 +271,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("module,name,error,argv", [
         (cli.cf, "gf_series", SeriesError, ["series", "--kind", "dyck", "--order", "5"]),
-        (cli.asy, "root_audit", AuditError, ["asympt", "--const", "roots", "--kmax", "0"]),
+        (asy, "root_audit", AuditError, ["asympt", "--const", "roots", "--kmax", "0"]),
     ], ids=["SeriesError", "AuditError"])
     def test_internal_error_is_not_a_usage_error(self, monkeypatch, capsys,
                                                  module, name, error, argv):
@@ -285,7 +285,7 @@ class TestExitCodes:
 
     def test_undecided_audit_exits_1(self, monkeypatch, capsys):
         # 2t - 1 has its zero on |t| = 1/2: the exact count refuses to guess
-        monkeypatch.setattr(cli.asy, "_family_poly", lambda family, k: {0: -1, 1: 2})
+        monkeypatch.setattr(asy, "_family_poly", lambda family, k: {0: -1, 1: 2})
         assert cli.main(["asympt", "--const", "roots", "--kmax", "0"]) == cli.EXIT_VERIFY_FAIL
         err = capsys.readouterr().err
         assert err.startswith("error: AuditError: Q-family k=-1: degenerate Schur-Cohn step")
@@ -364,21 +364,73 @@ PINNED = {
 }
 
 
+def pinned_digest(line: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(line.split())
+        except SystemExit as exc:  # argparse's own exit 2
+            code = exc.code
+    digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
+    return digest.hexdigest()[:16]
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("line", PINNED)
     def test_bytes_unchanged(self, monkeypatch, line):
         monkeypatch.setenv("COLUMNS", "80")
         monkeypatch.delenv("WEDGEWALKS_DIGITS", raising=False)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(line.split())
-            except SystemExit as exc:  # argparse's own exit 2
-                code = exc.code
-        digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
-        assert digest.hexdigest()[:16] == PINNED[line]
+        assert pinned_digest(line) == PINNED[line]
 
     def test_covers_every_kind_and_ledger_entry(self):
         kinds = {f"series --kind {k} --order 24 --format json" for k in cli.cf.GF_KINDS}
         ids = {f"ledger explain --id {d.id}" for d in cli.discrepancies.LEDGER}
         assert kinds | ids <= set(PINNED)
+
+
+class TestOneParserPerProcess:
+    def test_only_asympt_and_report_load_mpmath(self):
+        # a fresh isolated interpreter: nothing imported before the CLI runs
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+                "from wedgewalks import cli; "
+                "runs = [['count', '--model', 'symmetric', '--n', '10'], "
+                "['series', '--kind', 'free', '--order', '15'], "
+                "['verify', '--suite', 'interpretations'], ['ledger', 'list']]; "
+                "print(*[f\"{cli.main([*argv, '--out', os.devnull])},"
+                "{'mpmath' in sys.modules}\" for argv in runs]); "
+                "print(cli.main(['asympt', '--const', 'theta', '--out', os.devnull]))")
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0,False"] * 4 + ["0"], proc.stderr
+
+    def test_digits_read_on_every_call(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_PARSER", {})
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        digits = []
+        for env in ("17", "25", None):
+            if env is None:
+                monkeypatch.delenv("WEDGEWALKS_DIGITS")
+            else:
+                monkeypatch.setenv("WEDGEWALKS_DIGITS", env)
+            code, out = run_main("asympt", "--const", "theta")
+            assert code == 0
+            digits.append(json.loads(out)["digits"])
+        assert digits == [17, 25, 30]
+        monkeypatch.setenv("WEDGEWALKS_DIGITS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asympt", "--const", "theta"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "wedgewalks asympt: error: argument --digits: not an integer >= 1: 'abc'\n")
+        assert run_main("ledger", "list")[0] == 0
+        assert len(built) == 1
+
+    def test_state_does_not_leak_between_calls(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("WEDGEWALKS_DIGITS", raising=False)
+        assert pinned_digest("series --kind bogus") == PINNED["series --kind bogus"]
+        for line in reversed(PINNED):
+            assert pinned_digest(line) == PINNED[line], line
