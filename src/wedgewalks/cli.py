@@ -8,15 +8,19 @@ output.
 Exit codes: 0 success, 1 unexpected verification failure or internal error,
 2 invalid flags, 3 resource budget exceeded.
 
-``main`` builds its argparse tree once per process and reuses it; only
-``WEDGEWALKS_DIGITS`` is read again on every call.  ``asymptotics`` (and so
-mpmath) is imported by ``asympt`` and ``report`` alone, so ``count``,
-``series``, ``verify`` and ``ledger`` never load mpmath.
+``main`` builds its argparse tree once per process (``_parser`` is cached)
+and never changes it afterwards.  ``--digits`` of ``asympt`` and ``report``
+has no parser default: when the flag is absent, ``main`` reads
+``WEDGEWALKS_DIGITS`` (default 30) after parsing, on every call, and a bad
+value is a one-line ``error:`` with exit 2.  ``asymptotics`` (and so mpmath)
+is imported by ``asympt`` and ``report`` alone, so ``count``, ``series``,
+``verify`` and ``ledger`` never load mpmath.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -134,24 +138,32 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["clean"] else EXIT_VERIFY_FAIL
 
 
+def _checkpoints(nmax: int) -> tuple[int, ...]:
+    """The fit checkpoints of B0 and halfplane: nmax/4, nmax/2, nmax, each >= 10."""
+    return tuple(n for n in (nmax // 4, nmax // 2, nmax) if n >= 10)
+
+
 #: each asympt constant -> (the smallest --nmax at which it has data to fit,
-#: its builder from the asymptotics module, the flags and the fit
-#: checkpoints); a builder returns its reports, or a dict of named extras
+#: its builder from the asymptotics module and the flags); a builder returns
+#: its reports, or a dict of named extras.  report builds A0, theta and the
+#: accuracy table through the same entries.
 _CONSTS = {
-    "A0": (0, lambda asy, args, cps: [asy.constant_A0(args.digits)]),
-    "A1A2": (60, lambda asy, args, cps: asy.constants_A1A2(
+    "A0": (0, lambda asy, args: [asy.constant_A0(args.digits)]),
+    "A1A2": (60, lambda asy, args: asy.constants_A1A2(
         count_walks(WedgeModel("symmetric", 1), min(args.nmax, 201)),
         max(args.digits, 60))),
-    "theta": (0, lambda asy, args, cps: [asy.constant_theta(args.digits)]),
-    "B0": (10, lambda asy, args, cps: [asy.constant_B0(
-        count_walks(WedgeModel("asymmetric", 1), args.nmax), cps, args.digits)]),
-    "halfplane": (10, lambda asy, args, cps: [asy.constant_halfplane(
-        count_walks(WedgeModel("halfplane", 1), args.nmax), cps, args.digits)]),
-    "eq-accuracy": (0, lambda asy, args, cps: {"accuracy_table": asy.eq37_accuracy(
+    "theta": (0, lambda asy, args: [asy.constant_theta(args.digits)]),
+    "B0": (10, lambda asy, args: [asy.constant_B0(
+        count_walks(WedgeModel("asymmetric", 1), args.nmax),
+        _checkpoints(args.nmax), args.digits)]),
+    "halfplane": (10, lambda asy, args: [asy.constant_halfplane(
+        count_walks(WedgeModel("halfplane", 1), args.nmax),
+        _checkpoints(args.nmax), args.digits)]),
+    "eq-accuracy": (0, lambda asy, args: {"accuracy_table": asy.eq37_accuracy(
         count_walks(WedgeModel("symmetric", 1), 40), args.digits)}),
-    "p-pieces": (2, lambda asy, args, cps: asy.p_pieces_asymptotics(
+    "p-pieces": (2, lambda asy, args: asy.p_pieces_asymptotics(
         min(args.nmax, 200), args.digits)),
-    "roots": (0, lambda asy, args, cps: {
+    "roots": (0, lambda asy, args: {
         "root_audit": asy.root_audit(args.kmax, args.digits).to_dict()}),
 }
 
@@ -164,11 +176,9 @@ def cmd_asympt(args) -> int:
     need = max(_CONSTS[c][0] for c in wanted)
     if args.nmax < need:
         raise UsageError(f"--const {want} needs --nmax >= {need}")
-    checkpoints = tuple(n for n in (args.nmax // 4, args.nmax // 2, args.nmax)
-                        if n >= 10)
     payload = {"schema": 1, "digits": args.digits, "reports": []}
     for c in wanted:
-        built = _CONSTS[c][1](asy, args, checkpoints)
+        built = _CONSTS[c][1](asy, args)
         if isinstance(built, dict):
             payload.update(built)
         else:
@@ -193,10 +203,9 @@ def cmd_report(args) -> int:
     }
     verdicts = suites.run_suite("all")
     bundle["verification"] = suites.summarize(verdicts)
-    bundle["constants"] = [asy.constant_A0(args.digits).to_dict(),
-                           asy.constant_theta(args.digits).to_dict()]
-    vt = count_walks(WedgeModel("symmetric", 1), 40)
-    bundle["accuracy_table"] = asy.eq37_accuracy(vt, args.digits)
+    bundle["constants"] = [r.to_dict() for c in ("A0", "theta")
+                           for r in _CONSTS[c][1](asy, args)]
+    bundle.update(_CONSTS["eq-accuracy"][1](asy, args))
     bundle["ledger"] = [
         {"id": d.id, "title": d.title, "observed": d.observed, "trusted": d.trusted}
         for d in discrepancies.LEDGER
@@ -216,22 +225,22 @@ def cmd_ledger(args) -> int:
     return EXIT_OK
 
 
-def _env_digits() -> str:
-    """The --digits default of asympt and report.  argparse converts a string
-    default by its type only when that verb is parsed, so a bad value is a
-    usage error of those two verbs alone."""
-    return os.environ.get("WEDGEWALKS_DIGITS", "30")
+def _env_digits() -> int:
+    """--digits of asympt and report when the flag is not given."""
+    try:
+        return _positive_int(os.environ.get("WEDGEWALKS_DIGITS", "30"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"WEDGEWALKS_DIGITS: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call; main builds one and keeps it."""
+    """A new parser on every call; main builds one through ``_parser``."""
     top = argparse.ArgumentParser(
         prog="wedgewalks",
         description="Exact enumeration, generating functions, verification "
                     "suites, and asymptotics for partially directed walks "
                     "in wedges.")
     top.add_argument("--version", action="version", version=__version__)
-    digits = _env_digits()
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("count", help="exact walk counts by length")
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asympt", help="asymptotic constants and audits")
     p.add_argument("--const", choices=(*_CONSTS, "all"), default="all")
-    p.add_argument("--digits", type=_positive_int, default=digits)
+    p.add_argument("--digits", type=_positive_int)  # WEDGEWALKS_DIGITS when not given
     p.add_argument("--nmax", type=_nonnegative_int, default=400)
     p.add_argument("--kmax", type=_nonnegative_int, default=20)
     p.add_argument("--out")
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="bundle everything into one JSON document")
     p.add_argument("--order", type=_nonnegative_int, default=30)
     p.add_argument("--nmax", type=_nonnegative_int, default=40)
-    p.add_argument("--digits", type=_positive_int, default=digits)
+    p.add_argument("--digits", type=_positive_int)  # WEDGEWALKS_DIGITS when not given
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
 
@@ -285,26 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-#: main's parser and the verb parsers whose --digits default it refreshes,
-#: filled by the first call of main
-_PARSER: dict = {}
-
-
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    if not _PARSER:
-        top = build_parser()
-        (verbs,) = [action.choices for action in top._actions
-                    if isinstance(action, argparse._SubParsersAction)]
-        _PARSER.update(top=top, digits=(verbs["asympt"], verbs["report"]))
-    for verb in _PARSER["digits"]:
-        verb.set_defaults(digits=_env_digits())
-    return _PARSER["top"]
+    """main's parser, built on the first call and never changed afterwards."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(_attach_negative_a(argv))
     try:
+        if hasattr(args, "digits") and args.digits is None:
+            args.digits = _env_digits()
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

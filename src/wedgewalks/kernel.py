@@ -167,20 +167,12 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
 
 # -- iterated compositions ---------------------------------------------------
 
-def _tpoly_acc(terms: list[tuple[int, int]], order: int) -> TSeries:
-    """Laurent polynomial from (exponent, coefficient) pairs, exponents may repeat."""
-    acc: dict[int, Fraction] = {}
-    for k, c in terms:
-        acc[k] = acc.get(k, Fraction(0)) + c
-    return TSeries.from_dict(acc, order)
-
-
 def _beta_closed_inverse(n: int, a: Arg, order: int) -> TSeries:
     """1/beta_n(a) for the symmetric model, any integer n (three-term solution)."""
     w = order + 2 * abs(n) + 10
     one_m_t2 = TSeries.from_dict({0: 1, 2: -1}, w)
-    c1 = _tpoly_acc([(1 - n, 1), (1 + n, -1)], w) / one_m_t2
-    c2 = _tpoly_acc([(2 - n, 1), (n, -1)], w) / one_m_t2
+    c1 = (TSeries.t_power(1 - n, w) - TSeries.t_power(1 + n, w)) / one_m_t2
+    c2 = (TSeries.t_power(2 - n, w) - TSeries.t_power(n, w)) / one_m_t2
     b1 = root("symmetric", "beta-", as_series(a, w), w)
     inv = c1 * b1.inverse() - c2 * as_series(a, w).inverse()
     return inv

@@ -374,23 +374,9 @@ class TSeries:
 
     # -- comparison helpers ------------------------------------------------
 
-    def first_difference(self, other: "TSeries") -> int | None:
-        """Smallest exponent where the two series differ, or None.
-
-        Comparison runs over the window both sides know reliably.
-        """
-        order = min(self._order, other._order)
-        vals = [v for v in (self.valuation, other.valuation) if v is not None]
-        if not vals:
-            return None
-        lo = min(vals)
-        for k in range(lo, order + 1):
-            if self.coeff(k) != other.coeff(k):
-                return k
-        return None
-
     def same(self, other: "TSeries") -> bool:
-        return self.first_difference(other) is None
+        """Equal over the window both sides know reliably."""
+        return self.sub(other).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):

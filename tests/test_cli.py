@@ -145,9 +145,9 @@ class TestAsympt:
 
     def test_env_default_digits(self, monkeypatch):
         monkeypatch.setenv("WEDGEWALKS_DIGITS", "17")
-        parser = cli.build_parser()
-        args = parser.parse_args(["asympt", "--const", "theta"])
-        assert args.digits == 17
+        code, out = run_main("asympt", "--const", "theta")
+        assert code == 0
+        assert json.loads(out)["digits"] == 17
 
     def test_roots_audit(self):
         code, out = run_main("asympt", "--const", "roots", "--kmax", "5")
@@ -239,6 +239,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("env,argv,code", [
         ("abc", ["ledger", "list"], 0),
         ("abc", ["asympt", "--const", "theta"], 2),
+        ("abc", ["asympt", "--const", "theta", "--digits", "5"], 0),
         (None, ["asympt", "--const", "theta", "--digits", "-5"], 2),
         (None, ["asympt", "--const", "theta", "--digits", "201"], 3),
         (None, ["asympt", "--const", "B0", "--nmax", "5"], 2),
@@ -326,8 +327,9 @@ class TestReport:
 
 
 #: the first 16 hex digits of sha256(f"{exit code}\0{stdout}\0{stderr}") of
-#: cheap invocations, recorded at e5a4fe5 with COLUMNS=80 (argparse wraps its
-#: usage line to the terminal width); a refactor must leave every one unchanged
+#: cheap invocations, recorded at e5a4fe5 (the report line at 04d011f) with
+#: COLUMNS=80 (argparse wraps its usage line to the terminal width); a
+#: refactor must leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -361,6 +363,7 @@ PINNED = {
     "asympt --const all --nmax 59": "b2dcaae12b220379",
     "asympt --nmax -1": "771fe486ada74560",
     "series --kind H_aya_raw --a 0": "94b6e032a0c92beb",
+    "report --nmax 12 --order 12 --digits 20": "5f2c0f87198ffaf8",
 }
 
 
@@ -404,8 +407,9 @@ class TestOneParserPerProcess:
                               capture_output=True, text=True, timeout=120)
         assert proc.stdout.split() == ["0,False"] * 4 + ["0"], proc.stderr
 
-    def test_digits_read_on_every_call(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_PARSER", {})
+    def test_digits_read_on_every_call(self, monkeypatch, capsys, request):
+        cli._parser.cache_clear()
+        request.addfinalizer(cli._parser.cache_clear)
         built = []
         build = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
@@ -420,11 +424,9 @@ class TestOneParserPerProcess:
             digits.append(json.loads(out)["digits"])
         assert digits == [17, 25, 30]
         monkeypatch.setenv("WEDGEWALKS_DIGITS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["asympt", "--const", "theta"])
-        assert exc.value.code == cli.EXIT_USAGE
-        assert capsys.readouterr().err.endswith(
-            "wedgewalks asympt: error: argument --digits: not an integer >= 1: 'abc'\n")
+        assert cli.main(["asympt", "--const", "theta"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: WEDGEWALKS_DIGITS: not an integer >= 1: 'abc'\n")
         assert run_main("ledger", "list")[0] == 0
         assert len(built) == 1
 
