@@ -90,15 +90,18 @@ def _alternating_theta_num(t, prec_extra: int = 10):
     return total
 
 
+def _g1_numerator(t):
+    """(1 - 2t - t^2) g_1(1,1): the symmetric-wedge series without its pole."""
+    radical = mpmath.sqrt((1 - t**2) * (1 - 5 * t**2))
+    return (1 + t) - (1 - t**2 - radical) / t * _alternating_theta_num(t)
+
+
 def _a0_residue():
     """A0 at the current working precision (see :func:`constant_A0`)."""
     tc = mpmath.sqrt(2) - 1
-    s = _alternating_theta_num(tc)
-    radical = mpmath.sqrt((1 - tc**2) * (1 - 5 * tc**2))
-    prefactor = (1 - tc**2 - radical) / tc
     # 1 - 2t - t^2 = -(t - tc)(t + 1 + sqrt(2)); residue scaling by
     # (1 - t/tc) contributes 1/(tc * (tc + 1 + sqrt(2)))
-    return ((1 + tc) - prefactor * s) / (tc * (tc + 1 + mpmath.sqrt(2)))
+    return _g1_numerator(tc) / (tc * (tc + 1 + mpmath.sqrt(2)))
 
 
 def constant_A0(digits: int = 30) -> AsymptoticReport:
@@ -119,10 +122,7 @@ def constant_A0(digits: int = 30) -> AsymptoticReport:
 
         # limit-approach diagnostic: (1 - t/tc) g_1(1,1) just inside the pole
         t = tc * (1 - mpmath.mpf(10) ** -8)
-        g1 = ((1 + t) / (1 - 2 * t - t**2)
-              - (1 - t**2 - mpmath.sqrt((1 - t**2) * (1 - 5 * t**2)))
-              / (t * (1 - 2 * t - t**2)) * _alternating_theta_num(t))
-        approach = (1 - t / tc) * g1
+        approach = (1 - t / tc) * _g1_numerator(t) / (1 - 2 * t - t**2)
 
         ref = mpmath.mpf(REFERENCES["A0"])
         return AsymptoticReport(
@@ -147,14 +147,14 @@ def _neville_to_zero(xs, ys):
     return ys[m - 1]
 
 
-def constants_A1A2(vtable: CountTable, digits: int = 60) -> list[AsymptoticReport]:
+def constants_A1A2(vtable: CountTable, digits: int = 30) -> list[AsymptoticReport]:
     """Parity fit of the subdominant 5^(n/2) term of the symmetric counts.
 
     Scales the residual v_n - A0 mu^n by (n+1)^(3/2) 5^(-n/2); the scaled
     sequence is A1 + (-1)^n A2 plus a 1/n tail, so each parity class is
     Neville-extrapolated in 1/(n+1) over six equally spaced nodes below
-    n_max.  Needs A0 well beyond the ~n log10(mu/sqrt5) digits the
-    subtraction cancels, hence the high default precision.
+    n_max.  Works at max(digits, 12) places, plus the n log10(mu/sqrt5) +
+    1.5 log10(n+1) that subtraction and scaling cancel, plus a guard of 10.
     """
     _check_digits(digits)
     n_hi = len(vtable) - 1
@@ -163,7 +163,9 @@ def constants_A1A2(vtable: CountTable, digits: int = 60) -> list[AsymptoticRepor
     n_hi -= n_hi % 2
     nodes_even = [n_hi - 20 * i for i in range(5, -1, -1) if n_hi - 20 * i >= 20]
     nodes_odd = [n - 1 for n in nodes_even]
-    with mpmath.workdps(digits):
+    cancelled = math.ceil(n_hi * math.log10((1 + math.sqrt(2)) / math.sqrt(5))
+                          + 1.5 * math.log10(n_hi + 1))
+    with mpmath.workdps(max(digits, 12) + cancelled + 10):
         mu = 1 + mpmath.sqrt(2)
         a0 = _a0_residue()
 
@@ -194,6 +196,13 @@ def constants_A1A2(vtable: CountTable, digits: int = 60) -> list[AsymptoticRepor
         return out
 
 
+def _theta_summand(k: int):
+    """k-th term of sqrt(2) theta: (1 - tau^(2k+1)) tau^(2k^2+2k) / (1 + tau^(2k+1))."""
+    tau = mpmath.sqrt(2) - 1
+    tk = tau ** (2 * k + 1)
+    return (1 - tk) / (1 + tk) * tau ** (2 * k * k + 2 * k)
+
+
 def constant_theta(digits: int = 30) -> AsymptoticReport:
     """Direct summation of the boundary-pole constant.
 
@@ -202,14 +211,12 @@ def constant_theta(digits: int = 30) -> AsymptoticReport:
     """
     _check_digits(digits)
     with mpmath.workdps(digits + 15):
-        tau = mpmath.sqrt(2) - 1
         total = mpmath.mpf(0)
         k = 0
         partials = {}
         cutoff = mpmath.mpf(10) ** (-(digits + 12))
         while True:
-            tk = tau ** (2 * k + 1)
-            term = (1 - tk) / (1 + tk) * tau ** (2 * k * k + 2 * k)
+            term = _theta_summand(k)
             total += term
             if k <= 2:
                 partials[k] = total / mpmath.sqrt(2)
@@ -241,9 +248,9 @@ def constant_B0(wtable: CountTable, checkpoints=(100, 200, 400),
                 digits: int = 30) -> AsymptoticReport:
     """Empirical constant of the asymmetric wedge: w_n sqrt(n) / mu^n.
 
-    Reports the raw ratio at each checkpoint, a Richardson extrapolation in
-    1/n from the last two, and the horizontal-ending companion constant
-    (smaller by exactly mu).
+    Reports the raw ratio r(n) at each checkpoint, 2 r(n_b) - r(n_a) from the
+    last two n_a < n_b (Richardson in 1/n only when n_b = 2 n_a), and the
+    horizontal-ending companion constant (smaller by exactly mu).
     """
     _check_digits(digits)
     ns = _checkpoints_in(wtable, checkpoints)
@@ -359,7 +366,7 @@ def _p2k_formula(k: int, n: int):
     mu = 1 + mpmath.sqrt(2)
     tau = mpmath.sqrt(2) - 1
     tk = tau ** (2 * k + 1)
-    lead = -(mu**n) / mpmath.sqrt(2) * (1 - tk) / (1 + tk) * mu ** (-2 * k * k - 2 * k)
+    lead = -(mu**n) / mpmath.sqrt(2) * _theta_summand(k)
     corr = (mu**n * mpmath.sqrt(2 / (mpmath.pi * n))
             * ((2 * k + 1) * (1 - tau ** (4 * k + 2)) - tk) / (1 + tk) ** 2
             * mu ** (-2 * k * k - 2 * k - mpmath.mpf(5) / 2))
@@ -373,8 +380,8 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
     beyond the cancellation of the two mu^n leading constants.
     """
     _check_digits(digits)
-    if n_max > 400:
-        raise BudgetError("p-piece series beyond n=400 exceed the budget")
+    if n_max > cf._MAX_ORDER:
+        raise BudgetError(f"order {n_max} exceeds the budget of {cf._MAX_ORDER}")
     p1, p2, p3, middle = cf.gf_h1_pieces(n_max)
     h1 = p1 + p2 + p3
     reports = []

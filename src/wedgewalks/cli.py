@@ -125,13 +125,7 @@ def cmd_verify(args) -> int:
     if args.order is not None and args.suite in ("growth", "all"):
         raise UsageError(f"--order does not apply to --suite {args.suite}")
     order = 30 if args.order is None else args.order
-    kwargs = {}
-    if args.suite in ("kernel", "funceq"):
-        kwargs["order"] = order
-    elif args.suite == "closedform":
-        kwargs["order"] = max(order, 40)
-    elif args.suite == "interpretations":
-        kwargs["order"] = min(order, 30)
+    kwargs = {} if args.suite in ("growth", "all") else {"order": order}
     verdicts = suites.run_suite(args.suite, **kwargs)
     summary = suites.summarize(verdicts)
     _write(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.out)
@@ -150,8 +144,7 @@ def _checkpoints(nmax: int) -> tuple[int, ...]:
 _CONSTS = {
     "A0": (0, lambda asy, args: [asy.constant_A0(args.digits)]),
     "A1A2": (60, lambda asy, args: asy.constants_A1A2(
-        count_walks(WedgeModel("symmetric", 1), min(args.nmax, 201)),
-        max(args.digits, 60))),
+        count_walks(WedgeModel("symmetric", 1), args.nmax), args.digits)),
     "theta": (0, lambda asy, args: [asy.constant_theta(args.digits)]),
     "B0": (10, lambda asy, args: [asy.constant_B0(
         count_walks(WedgeModel("asymmetric", 1), args.nmax),
@@ -161,8 +154,7 @@ _CONSTS = {
         _checkpoints(args.nmax), args.digits)]),
     "eq-accuracy": (0, lambda asy, args: {"accuracy_table": asy.eq37_accuracy(
         count_walks(WedgeModel("symmetric", 1), 40), args.digits)}),
-    "p-pieces": (2, lambda asy, args: asy.p_pieces_asymptotics(
-        min(args.nmax, 200), args.digits)),
+    "p-pieces": (2, lambda asy, args: asy.p_pieces_asymptotics(args.nmax, args.digits)),
     "roots": (0, lambda asy, args: {
         "root_audit": asy.root_audit(args.kmax, args.digits).to_dict()}),
 }

@@ -62,10 +62,10 @@ LEDGER = [
         id="p2-summand-tail",
         title="per-summand tail constants are diagnostic only",
         observed="the per-k summand asymptotics lack uniform error bounds; at "
-                 "n = 200 the k = 0 summand formula is within ~0.2% but the "
-                 "k >= 1 gaps are large, and the sqrt(n)-level constant "
-                 "0.0905847... is confirmed by fits against exact counts, not "
-                 "re-derived from the k-sum",
+                 "n = 200 the k = 0 summand formula is within 0.34% but the "
+                 "k >= 1 gaps are large; the sqrt(n)-level constant comes from "
+                 "fits against exact counts (0.0905859863..., not the printed "
+                 "0.0905847..., see sqrt-n-constant-pair), not from the k-sum",
         trusted="fits against exact counts",
     ),
     Discrepancy(

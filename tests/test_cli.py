@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -133,6 +135,17 @@ class TestVerify:
         assert set(result) == {"suite", "identity", "parameters", "order",
                                "status", "first_bad_coefficient", "note"}
 
+    def test_closedform_runs_at_the_order_asked(self):
+        code, out = run_main("verify", "--suite", "closedform", "--order", "5")
+        assert code == 0
+        orders = {v["identity"]: v["order"] for v in json.loads(out)["results"]}
+        assert orders["sym closed form vs counts"] == 5
+
+    def test_interpretations_run_at_the_order_asked(self):
+        code, out = run_main("verify", "--suite", "interpretations", "--order", "40")
+        assert code == 0
+        assert {v["order"] for v in json.loads(out)["results"]} == {40}
+
 
 class TestAsympt:
     def test_A0_report(self):
@@ -197,6 +210,38 @@ class TestAsympt:
         assert k2["diagnostics"] == {"exact_over_mu_n": "0.0",
                                      "formula_over_mu_n": formula,
                                      "relative_gap": "1.000"}
+
+    def test_A1A2_fits_at_the_nmax_and_digits_asked(self):
+        code, out = run_main("asympt", "--const", "A1A2", "--nmax", "202",
+                             "--digits", "30")
+        assert code == 0
+        payload = json.loads(out)
+        assert [(r["n_range"][1], r["digits"]) for r in payload["reports"]] == [
+            (202, 30), (202, 30)]
+
+    def test_p_pieces_fit_at_the_nmax_asked(self):
+        code, out = run_main("asympt", "--const", "p-pieces", "--nmax", "210")
+        assert code == 0
+        reports = {r["constant"]: r for r in json.loads(out)["reports"]}
+        assert reports["p1_ratio"]["n_range"] == [105, 210]
+
+    def test_p_pieces_beyond_the_series_budget(self, capsys):
+        code = cli.main(["asympt", "--const", "p-pieces", "--nmax", "1201"])
+        assert code == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nmax", [60, 120])
+    def test_A1A2_values_do_not_depend_on_digits(self, nmax):
+        values = []
+        for digits in ("1", "60"):
+            code, out = run_main("asympt", "--const", "A1A2", "--nmax", str(nmax),
+                                 "--digits", digits)
+            assert code == 0
+            reports = json.loads(out)["reports"]
+            assert [r["digits"] for r in reports] == [int(digits)] * 2
+            values.append([r["value"] for r in reports])
+        assert values[0] == values[1]
 
     def test_accuracy_table(self):
         code, out = run_main("asympt", "--const", "eq-accuracy")
@@ -327,9 +372,12 @@ class TestReport:
 
 
 #: the first 16 hex digits of sha256(f"{exit code}\0{stdout}\0{stderr}") of
-#: cheap invocations, recorded at e5a4fe5 (the report line at 04d011f) with
-#: COLUMNS=80 (argparse wraps its usage line to the terminal width); a
-#: refactor must leave every one unchanged
+#: cheap invocations, recorded at e5a4fe5 with COLUMNS=80 (argparse wraps
+#: its usage line to the terminal width); the B0, halfplane, p-pieces and
+#: roots lines were recorded at 19d81fa, and the A1A2, report and
+#: p2-summand-tail lines after A1A2 began to report the digits asked and the
+#: p2-summand-tail entry was corrected.  A refactor must leave every one
+#: unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -354,7 +402,7 @@ PINNED = {
     "ledger explain --id flat-boundary-interpretation": "e255f3e0a937aaba",
     "ledger explain --id diag-boundary-interpretation": "7ac6c2ee69944835",
     "ledger explain --id term-by-term-solution": "d3ab798c2ec96d47",
-    "ledger explain --id p2-summand-tail": "f6011d3247adc2a4",
+    "ledger explain --id p2-summand-tail": "3a3d4193bbee7ccc",
     "ledger explain --id sqrt-n-constant-pair": "b07d32427a08a83f",
     "ledger explain --id accuracy-table-figures": "a5d751274161ff71",
     "series --kind bogus": "2491b617c6fd5a80",
@@ -363,7 +411,12 @@ PINNED = {
     "asympt --const all --nmax 59": "b2dcaae12b220379",
     "asympt --nmax -1": "771fe486ada74560",
     "series --kind H_aya_raw --a 0": "94b6e032a0c92beb",
-    "report --nmax 12 --order 12 --digits 20": "5f2c0f87198ffaf8",
+    "report --nmax 12 --order 12 --digits 20": "fd84be4379090d75",
+    "asympt --const B0 --nmax 60": "22ebfc47989ec8c5",
+    "asympt --const halfplane --nmax 60": "4d7aee7dc44f3bf5",
+    "asympt --const p-pieces --nmax 50": "eceeb938165e421e",
+    "asympt --const roots --kmax 3": "925c0c423e24a7fd",
+    "asympt --const A1A2 --nmax 120": "0e7457ada4d08513",
 }
 
 
@@ -436,3 +489,18 @@ class TestOneParserPerProcess:
         assert pinned_digest("series --kind bogus") == PINNED["series --kind bogus"]
         for line in reversed(PINNED):
             assert pinned_digest(line) == PINNED[line], line
+
+
+class TestReadmeCommands:
+    def test_every_command_line_example_parses(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+        lines = [ln for ln in block.splitlines() if ln.startswith("wedgewalks ")]
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            args = parser.parse_args(cli._attach_negative_a(argv))
+            assert args.verb == argv[0], line
