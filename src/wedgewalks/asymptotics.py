@@ -75,12 +75,12 @@ def _q_at(t):
     return (1 - 3 * t**2 - mpmath.sqrt((1 - t**2) * (1 - 5 * t**2))) / (2 * t)
 
 
-def _alternating_theta_num(t, prec_extra: int = 10):
+def _alternating_theta_num(t):
     """sum((-1)^n t^(n^2) Q(t)^n) numerically; terms decay like t^(n^2)."""
     q = _q_at(t)
     total = mpmath.mpf(0)
     n = 0
-    cutoff = mpmath.mpf(10) ** (-(mpmath.mp.dps + prec_extra))
+    cutoff = mpmath.mpf(10) ** (-(mpmath.mp.dps + 10))  # ten guard digits
     while True:
         term = (-1) ** n * t ** (n * n) * q**n
         total += term

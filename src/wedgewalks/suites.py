@@ -1,8 +1,9 @@
 """Named verification suites with machine-readable verdicts.
 
-This module is the one place where a compared pair of series, or a residual
-that must vanish, becomes a Verdict: ``kernel`` and ``closedforms`` only
-build the series.  Each suite returns a list of Verdicts; a run is clean when
+This module is the one place where a compared pair of series, a residual
+that must vanish, or an inequality between walk counts becomes a Verdict:
+``kernel`` and ``closedforms`` only build the series, and ``walks`` only
+counts.  Each suite returns a list of Verdicts; a run is clean when
 no verdict has status "fail".  Comparisons covered by the discrepancy ledger
 report instead of failing.
 """
@@ -15,8 +16,7 @@ from fractions import Fraction
 from . import closedforms as cf
 from . import kernel
 from .series import TSeries
-from .walks import (WedgeModel, count_walks, growth_inequalities,
-                    prepend_inequality, weighted_gf)
+from .walks import WedgeModel, count_walks, weighted_gf
 
 
 @dataclass
@@ -297,31 +297,52 @@ def _holds(identity: str, ok: bool, note: str = "", **params) -> Verdict:
 
 
 def suite_growth(n_max: int = 30, sandwich_n: int = 100) -> list[Verdict]:
-    out = []
-    for kind in ("symmetric", "asymmetric"):
-        for p in (1, 2, 3):
-            rep = growth_inequalities(kind, p, n_max, n_max)
-            out.append(_holds("super-multiplicativity", rep["ok"],
-                              str(rep["first_violation"] or ""),
-                              model=kind, p=p, n_max=n_max))
-    for p in (1, 2):
-        rep = prepend_inequality(p, 6, 3)
-        out.append(_holds("block-prepending inequality", rep["ok"],
-                          str(rep["first_violation"] or ""),
-                          p=p, n_max=6, reps_max=3))
+    """The inequalities behind the growth constant, and two counting identities.
 
-    ct = count_walks(WedgeModel("free", 1), sandwich_n)
-    vt = count_walks(WedgeModel("symmetric", 1), sandwich_n)
-    wt = count_walks(WedgeModel("asymmetric", 1), sandwich_n)
+    Super-multiplicativity v_n v_m <= v_(n+m+1) for n, m <= n_max in both
+    wedges at p = 1, 2, 3.  Block prepending b_n^N <= w_(np+nN+N) for n <= 6,
+    N <= 3: b_n counts quarter-plane walks ending on the axis, and prepending
+    np + 1 east steps (ceil(np) = np for integer p) fits each block inside
+    the asymmetric wedge.  The sandwich w <= v <= c and monotone counts to
+    sandwich_n, and the p = 1 wedge inside the p = 2 wedge to n_max.  Each
+    model is counted once, to the longest length that any check reads.
+    """
+    wedges = [(kind, p) for kind in ("symmetric", "asymmetric") for p in (1, 2, 3)]
+    blocks, reps_max = 6, 3
+    reads = [(key, 2 * n_max + 1) for key in wedges]
+    reads += [(("asymmetric", p), blocks * (p + reps_max) + reps_max) for p in (1, 2)]
+    reads += [(("quarter_endline", 1), blocks)]
+    reads += [((kind, 1), sandwich_n) for kind in ("free", "symmetric", "asymmetric")]
+    lengths: dict[tuple[str, int], int] = {}
+    for key, n in reads:
+        lengths[key] = max(lengths.get(key, 0), n)
+    tab = {key: count_walks(WedgeModel(*key), n).counts for key, n in lengths.items()}
+
+    out = []
+    for kind, p in wedges:
+        v = tab[kind, p]
+        bad = next(((n, m) for n in range(n_max + 1) for m in range(n_max + 1)
+                    if v[n] * v[m] > v[n + m + 1]), None)
+        out.append(_holds("super-multiplicativity", bad is None, str(bad or ""),
+                          model=kind, p=p, n_max=n_max))
+    b = tab["quarter_endline", 1]
+    for p in (1, 2):
+        w = tab["asymmetric", p]
+        bad = next(((n, reps) for n in range(blocks + 1) for reps in range(1, reps_max + 1)
+                    if b[n] ** reps > w[n * p + n * reps + reps]), None)
+        out.append(_holds("block-prepending inequality", bad is None, str(bad or ""),
+                          p=p, n_max=blocks, reps_max=reps_max))
+
+    c, v, w = (tab[kind, 1] for kind in ("free", "symmetric", "asymmetric"))
     out.append(_holds("sandwich w <= v <= c",
-                      all(wt[n] <= vt[n] <= ct[n] for n in range(sandwich_n + 1)),
+                      all(w[n] <= v[n] <= c[n] for n in range(sandwich_n + 1)),
                       n_max=sandwich_n))
-    mono = all(all(tab[n + 1] >= tab[n] for n in range(len(tab) - 1))
-               for tab in (ct, vt, wt))
-    out.append(_holds("counts nondecreasing", mono, n_max=sandwich_n))
-    v2 = count_walks(WedgeModel("symmetric", 2), n_max)
+    out.append(_holds("counts nondecreasing",
+                      all(u[n + 1] >= u[n] for u in (c, v, w) for n in range(sandwich_n)),
+                      n_max=sandwich_n))
+    v2 = tab["symmetric", 2]
     out.append(_holds("wedge containment p=1 vs p=2",
-                      all(vt[n] <= v2[n] for n in range(n_max + 1)), n_max=n_max))
+                      all(v[n] <= v2[n] for n in range(n_max + 1)), n_max=n_max))
 
     g = cf.gf_dyck(50)
     t = TSeries.t_power(1, 50)

@@ -389,45 +389,3 @@ def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
                     entries[(n, p * x - y, w * x + y)] = c
     return WeightedSeries(kind, p, order, entries)
 
-
-def growth_inequalities(kind: str, p: int, n_max: int, m_max: int) -> dict:
-    """Super-multiplicativity v_n * v_m <= v_{n+m+1} over the given ranges."""
-    table = count_walks(WedgeModel(kind, p), n_max + m_max + 1)
-    violations = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            if table[n] * table[m] > table[n + m + 1]:
-                violations.append((n, m))
-    return {
-        "model": kind,
-        "p": p,
-        "n_max": n_max,
-        "m_max": m_max,
-        "ok": not violations,
-        "first_violation": violations[0] if violations else None,
-    }
-
-
-def prepend_inequality(p: int, n_max: int, reps_max: int) -> dict:
-    """b_n**N <= w_{ceil(n*p) + n*N + N, p} for n <= n_max, N <= reps_max.
-
-    b_n counts quarter-plane walks ending on the axis; prepending ceil(n*p)+1
-    horizontal steps fits each block inside the asymmetric wedge.  For
-    integer p the ceiling is just n*p.
-    """
-    worst = n_max * p + n_max * reps_max + reps_max
-    btable = count_walks(WedgeModel("quarter_endline", 1), n_max)
-    wtable = count_walks(WedgeModel("asymmetric", p), worst)
-    violations = []
-    for n in range(n_max + 1):
-        for reps in range(1, reps_max + 1):
-            idx = n * p + n * reps + reps  # ceil(n*p) = n*p for integer p
-            if btable[n] ** reps > wtable[idx]:
-                violations.append((n, reps))
-    return {
-        "p": p,
-        "n_max": n_max,
-        "reps_max": reps_max,
-        "ok": not violations,
-        "first_violation": violations[0] if violations else None,
-    }

@@ -196,18 +196,22 @@ def test_criterion_09_halfplane(tables):
 
 
 def test_criterion_10_growth_property_suite(tables):
-    from wedgewalks.walks import growth_inequalities, prepend_inequality
-
     failures = []
+    # v_n v_m <= v_(n+m+1) for n, m <= 30
     for kind in ("symmetric", "asymmetric"):
         for p in (1, 2, 3):
-            if not growth_inequalities(kind, p, 30, 30)["ok"]:
+            u = tables(kind, 61, p)
+            if any(u[n] * u[m] > u[n + m + 1] for n in range(31) for m in range(31)):
                 failures.append(("supermultiplicative", kind, p))
     c, v, w = tables("free", 100), tables("symmetric", 100), tables("asymmetric", 100)
     if not all(w[n] <= v[n] <= c[n] for n in range(101)):
         failures.append(("sandwich",))
+    # b_n^N <= w_(np+nN+N) for n <= 6, N <= 3
+    b = tables("quarter_endline", 6)
     for p in (1, 2):
-        if not prepend_inequality(p, 6, 3)["ok"]:
+        u = tables("asymmetric", 6 * p + 6 * 3 + 3, p)
+        if any(b[n] ** reps > u[n * p + n * reps + reps]
+               for n in range(7) for reps in range(1, 4)):
             failures.append(("prepend", p))
     g = cf.gf_dyck(50)
     if not (g - 1 - TSeries.t_power(1, 50) * g * g).is_zero():

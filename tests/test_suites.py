@@ -8,6 +8,7 @@ import pytest
 
 from wedgewalks import cli, kernel, suites
 from wedgewalks.series import TSeries
+from wedgewalks.walks import count_walks
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 30])
@@ -33,6 +34,36 @@ def test_closedform_suite_clean():
 def test_growth_suite_clean():
     summary = suites.summarize(suites.run_suite("growth", n_max=15, sandwich_n=40))
     assert summary["clean"]
+
+
+def test_growth_suite_counts_each_model_once(monkeypatch):
+    calls = []
+
+    def counting(model, n_max):
+        calls.append((model.kind, model.p))
+        return count_walks(model, n_max)
+
+    monkeypatch.setattr(suites, "count_walks", counting)
+    suites.suite_growth()
+    assert len(calls) == len(set(calls)) == 8
+
+
+def test_broken_supermultiplicativity_is_a_fail_verdict(monkeypatch):
+    # v_7 = v_6 - 1 breaks v_0 v_6 <= v_7, the first pair the suite tries
+    def broken(model, n_max):
+        table = count_walks(model, n_max)
+        if (model.kind, model.p) == ("symmetric", 1):
+            table.counts[7] = table.counts[6] - 1
+        return table
+
+    monkeypatch.setattr(suites, "count_walks", broken)
+    verdicts = [v for v in suites.run_suite("growth")
+                if v.identity == "super-multiplicativity"]
+    results = {(v.parameters["model"], v.parameters["p"]): (v.status, v.note) for v in verdicts}
+    assert results.pop(("symmetric", 1)) == ("fail", "(0, 6)")
+    assert len(results) == 5 and set(results.values()) == {("pass", "")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--suite", "growth"]) == cli.EXIT_VERIFY_FAIL
 
 
 #: small arguments per suite, so that each runs twice in a few seconds
