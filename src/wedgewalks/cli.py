@@ -211,8 +211,10 @@ def cmd_ledger(args) -> int:
         _write(discrepancies.listing() + "\n", args.out)
     else:
         known = [d.id for d in discrepancies.LEDGER]
-        if args.id not in known:
+        if args.id is None:
             raise UsageError(f"explain needs --id, one of {', '.join(known)}")
+        if args.id not in known:
+            raise UsageError(f"unknown --id {args.id!r}, one of {', '.join(known)}")
         _write(discrepancies.explain(args.id) + "\n", args.out)
     return EXIT_OK
 

@@ -15,25 +15,36 @@ Seven vertex domains are supported:
 
 Two independent counters are provided: a per-length dynamic program, and an
 exhaustive depth-first generator used as an oracle for small lengths.  They
-share no transition code.
+share no transition code: the band, the height column and the mirror floor
+below live in the DP only, and the oracle walks the raw domain.
 
 The dynamic program keeps, for each length n, one integer list per column
-and arriving step (east or start, north, south), over a closed index range
-that is exactly the domain condition.  The two wedges are indexed by column
-X and d, the number of south steps so far, so Y = n - X - 2d and only the
-reachable parity of Y is stored: a north step keeps (X, d), a south step
-goes to (X, d + 1) and an east step to (X + 1, d).  With w = p for the
-symmetric wedge and w = 0 for the asymmetric one, -w*X <= Y <= p*X is
+and arriving step (east or start, north, south), over a closed index range.
+The two wedges are indexed by column X and d, the number of south steps so
+far, so Y = n - X - 2d and only the reachable parity of Y is stored: a north
+step keeps (X, d), a south step goes to (X, d + 1) and an east step to
+(X + 1, d).  With w = p for the symmetric wedge and w = 0 for the asymmetric
+one, the full domain -w*X <= Y <= p*X is
 
     max(0, ceil((n - X - p*X)/2)) <= d <= min(n - X, floor((n - X + w*X)/2)).
+
+``weighted_gf`` needs every endpoint and steps that full domain, and the
+state budget is checked on it.  ``count_walks`` needs only the totals, so it
+keeps a band of the wedge: the cells that can still reach Y = p*X in the
+steps left to n_max, above Y = 0.  A walk that leaves the band moves into
+one column indexed by its height Y, where it steps as a ``halfplane`` walk
+(asymmetric wedge) or a ``free`` walk (symmetric wedge) from then on.
 
 The five line models are one column indexed by the sheared height
 h = Y - ls*X, ls the slope of the lower line (0 when there is none): an east
 step adds -ls to h, a north or south step adds +1 or -1, and h ranges over
-[0, n] ([-n, n] for ``free``).  Each target list is one source list shifted
-by its move and clipped to the target range, so a step does no per-state
-dictionary work; the frontier size at any length is known before the first
-step.
+[0, n].  ``free`` and the symmetric wedge are stored as their half Y >= 0:
+the reflection Y -> -Y swaps north and south arrivals, so at Y = 0 the
+north arrivals equal the south ones (the mirror floor), and the count is
+twice the stored walks less those on Y = 0.  Each target list is one source
+list shifted by its move and clipped to the target range, so a step does no
+per-state dictionary work; the frontier size at any length is known before
+the first step.
 """
 
 from __future__ import annotations
@@ -98,13 +109,14 @@ class WedgeModel:
         return True
 
     def _geometry(self):
-        """(moves, span): the state space of the counting DP.
+        """(moves, span): the state space of the DP over the whole domain.
 
         A state is (column, index).  ``moves`` holds the (column, index)
         offsets of an east, a north and a south step; ``span(n, c)`` is the
         closed index range (lo, hi) of column c at length n, empty when
         lo > hi.  Every vertex of a walk is the endpoint at some length, so
-        the span is the whole domain condition.
+        the span is the whole domain condition (for ``free``, its half
+        Y >= 0).  ``count_walks`` keeps only a band of a wedge's span.
         """
         p = self.p
         if self.kind in ("symmetric", "asymmetric"):
@@ -116,10 +128,9 @@ class WedgeModel:
                 return max(0, (n - x - p * x + 1) // 2), min(n - x, (n - x + w * x) // 2)
 
             return ((1, 0), (0, 0), (0, 1)), span
-        # one column, indexed by h = Y - ls*X with ls the lower-line slope
+        # one column, indexed by h = Y - ls*X with ls the lower-line slope;
+        # free keeps only its half h >= 0 (see _mirror)
         shift = -1 if self.kind == "boundary_diag" else 0
-        if self.kind == "free":
-            return ((0, shift), (0, 1), (0, -1)), lambda n, x: (-n, n)
         return ((0, shift), (0, 1), (0, -1)), lambda n, x: (0, n)
 
 
@@ -204,12 +215,71 @@ def _frontier_size(moves, span, n: int) -> int:
     return sum(max(0, hi - lo + 1) for lo, hi in spans)
 
 
+def _spill(band: list, line: tuple, n: int, near) -> None:
+    """Move the band cells that can no longer reach Y = p*X into the line column.
+
+    Column X keeps the indices d < near(X); a cell beyond, at height
+    Y = n - X - 2d, joins the line column at Y with its east and south
+    arrivals (a north step keeps d, so it never leaves the band).  Trailing
+    columns left empty are dropped: ``_step`` grows a column again when the
+    one before it still has an east step to give.
+    """
+    _lo, line_e, _u, line_d = line
+    for x, (lo, e, u, d) in enumerate(band):
+        keep = max(0, near(x) - lo)
+        if keep < len(e):
+            y = n - x - 2 * (lo + keep)
+            for k in range(keep, len(e)):
+                line_e[y] += e[k]
+                line_d[y] += d[k]
+                y -= 2
+            del e[keep:], u[keep:], d[keep:]
+    while band and not band[-1][1]:
+        band.pop()
+
+
+def _mirror(band: list, line: tuple, n: int) -> int:
+    """The mirror floor of a model stored as its half Y >= 0; returns the
+    walks of length n that end on Y = 0.
+
+    The reflection Y -> -Y maps walks to walks and swaps north and south
+    arrivals, so the north arrivals at a Y = 0 cell, which come from the
+    unstored Y = -1, equal its south arrivals.  A band column's Y = 0 cell
+    is its top index (n - X)/2, when it is kept.
+    """
+    on_floor = 0
+    for x, (lo, e, u, d) in enumerate(band):
+        if e and 2 * (lo + len(e) - 1) == n - x:
+            u[-1] = d[-1]
+            on_floor += e[-1] + 2 * d[-1]
+    _lo, e, u, d = line
+    u[0] = d[0]
+    return on_floor + e[0] + 2 * d[0]
+
+
 def count_walks(model: WedgeModel, n_max: int) -> CountTable:
     """Exact counts of walks of every length 0..n_max.
 
     One integer list per column and arriving step, over the column's span at
-    each length (see ``WedgeModel._geometry``).  The frontier size at n_max is
-    known in advance, so an over-budget request is refused before any work.
+    each length (see ``WedgeModel._geometry``).  The frontier size of the
+    full domain at n_max is known in advance, so an over-budget request is
+    refused before any work; it bounds what the DP below holds.
+
+    The two wedges keep only a band near the line Y = p*X.  The line still
+    constrains a walk at index d only if the walk could step over it within
+    the N - n steps left (N = n_max), that is p*X - Y + 1 <= N - n, or
+    d < near(X) = ceil((N - (p+1)*X)/2), a bound that does not depend on n;
+    so column X keeps
+
+        max(0, ceil((n - (p+1)*X)/2)) <= d <= min(floor((n - X)/2), near(X) - 1).
+
+    A walk that can no longer reach Y = p*X never feels that line again, so
+    the cells that leave the band join one line column indexed by Y (see
+    ``_spill``): the ``halfplane`` model for the asymmetric wedge, whose floor
+    Y = 0 is a wall, and the ``free`` model for the symmetric wedge, which can
+    no longer reach Y = -p*X either.  The symmetric wedge and ``free`` are
+    stored as their half Y >= 0 with a mirror floor (see ``_mirror``), and
+    count 2*(all stored walks) - (those on Y = 0).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -221,24 +291,51 @@ def count_walks(model: WedgeModel, n_max: int) -> CountTable:
         raise BudgetError(f"n_max={n_max} needs {states} states, "
                           f"over the budget of {_MAX_STATES}")
     pinned = model.kind in ("quarter_endline", "boundary_flat", "boundary_diag")
+    mirrored = model.kind in ("free", "symmetric")
 
-    def pinned_count(columns) -> int:
-        # walks ending at h = 0, index -lo of the one column
-        lo, e, u, d = columns[0]
+    def pinned_count(line) -> int:
+        # walks ending at h = 0, index 0 of the one column
+        _lo, e, u, d = line[0]
         if model.kind == "quarter_endline":
-            return e[-lo] + u[-lo] + d[-lo]
-        return e[-lo]
+            return e[0] + u[0] + d[0]
+        return e[0]
 
-    columns = [(0, [1], [0], [0])]
+    band, line = [], [(0, [1], [0], [0])]
+    line_moves, line_span = moves, span
+    if model.kind in ("symmetric", "asymmetric"):
+        p = model.p
+
+        def near(x: int) -> int:
+            return (n_max - (p + 1) * x + 1) // 2
+
+        def band_span(n: int, x: int) -> tuple[int, int]:
+            # up to near(X - 1) - 1: the cells an east or a south step
+            # carries out of the band, for _spill to move
+            return max(0, (n - x - p * x + 1) // 2), min((n - x) // 2, near(x - 1) - 1)
+
+        band, line = line, [(0, [0], [0], [0])]
+        line_moves, line_span = WedgeModel("free" if mirrored else "halfplane")._geometry()
+    on_floor = 1  # walks on Y = 0 at the current length (mirrored models)
     counts = []
     for n in range(1, n_max + 1):
         if pinned:
-            counts.append(pinned_count(columns))
-        columns, totals = _step(columns, n, moves, span)
+            counts.append(pinned_count(line))
+        totals = []
+        if band:
+            band, totals = _step(band, n, moves, band_span)
+        line, line_totals = _step(line, n, line_moves, line_span)
         if not pinned:  # the walks of length n - 1
-            counts.append(sum(map(sum, totals)))
-    counts.append(pinned_count(columns) if pinned
-                  else sum(sum(e) + sum(u) + sum(d) for _lo, e, u, d in columns))
+            total = sum(map(sum, totals)) + sum(line_totals[0])
+            counts.append(2 * total - on_floor if mirrored else total)
+        if band:
+            _spill(band, line[0], n, near)
+        if mirrored:
+            on_floor = _mirror(band, line[0], n)
+    if pinned:
+        counts.append(pinned_count(line))
+    else:
+        total = sum(sum(e) + sum(u) + sum(d) for _lo, e, u, d in band + line)
+        counts.append(2 * total - on_floor if mirrored else total)
     return CountTable(model, counts)
 
 

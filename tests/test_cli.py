@@ -15,7 +15,7 @@ import mpmath
 import pytest
 
 from wedgewalks import asymptotics as asy
-from wedgewalks import cli
+from wedgewalks import cli, discrepancies
 from wedgewalks.asymptotics import AuditError
 from wedgewalks.series import SeriesError
 
@@ -269,9 +269,14 @@ class TestLedgerVerb:
         assert code == 0
         assert "1, 2, 4, 9, 20" in out
 
-    def test_unknown_id(self):
+    def test_unknown_id(self, capsys):
+        known = ", ".join(d.id for d in discrepancies.LEDGER)
         code, _ = run_main("ledger", "explain", "--id", "nope")
         assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unknown --id 'nope', one of {known}\n"
+        code, _ = run_main("ledger", "explain")
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: explain needs --id, one of {known}\n"
 
 
 class TestExitCodes:

@@ -105,6 +105,23 @@ class TestCounts:
             assert count_walks(WedgeModel(kind, p), 80).counts == \
                 _reference_counts(kind, p, 80), p
 
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_band_equals_dict_reference_at_every_n_max(self, kind):
+        # the band near Y = p*X depends on n_max, so each n_max is its own DP
+        for p in (1, 2, 3, 4, 5, 7):
+            reference = _reference_counts(kind, p, 60)
+            for n_max in range(61):
+                assert count_walks(WedgeModel(kind, p), n_max).counts == \
+                    reference[:n_max + 1], (p, n_max)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shorter_tables_are_prefixes(self, kind):
+        # the ``tables`` fixture serves every shorter table from a longer one
+        for p in (1, 3):
+            full = count_walks(WedgeModel(kind, p), 45).counts
+            for k in range(46):
+                assert count_walks(WedgeModel(kind, p), k).counts == full[:k + 1], (p, k)
+
     def test_state_budget_is_refused_before_any_step(self, monkeypatch):
         def no_step(*_args):
             raise AssertionError("the DP started")
