@@ -236,32 +236,31 @@ def constant_theta(digits: int = 30) -> AsymptoticReport:
             })
 
 
-def _checkpoints_in(table: CountTable, checkpoints) -> list[int]:
-    ns = [n for n in checkpoints if n < len(table)]
+def _node_ratios(table: CountTable) -> dict:
+    """r(n) = c_n sqrt(n) / mu^n at the fit nodes N//4, N//2, N that are >= 10,
+    where N = len(table) - 1 is the longest length counted."""
+    top = len(table) - 1
+    ns = [n for n in (top // 4, top // 2, top) if n >= 10]
     if not ns:
-        raise ValueError(f"no checkpoint among {tuple(checkpoints)} lies in a "
-                         f"table of lengths 0..{len(table) - 1}")
-    return ns
+        raise ValueError(f"a fit needs counts to length >= 10, not 0..{top}")
+    mu = 1 + mpmath.sqrt(2)
+    return {n: table[n] * mpmath.sqrt(n) / mu**n for n in ns}
 
 
-def constant_B0(wtable: CountTable, checkpoints=(100, 200, 400),
-                digits: int = 30) -> AsymptoticReport:
+def constant_B0(wtable: CountTable, digits: int = 30) -> AsymptoticReport:
     """Empirical constant of the asymmetric wedge: w_n sqrt(n) / mu^n.
 
-    Reports the raw ratio r(n) at each checkpoint, 2 r(n_b) - r(n_a) from the
-    last two n_a < n_b (Richardson in 1/n only when n_b = 2 n_a), and the
-    horizontal-ending companion constant (smaller by exactly mu).
+    Reports the raw ratio r(n) at each node of :func:`_node_ratios`,
+    2 r(n_b) - r(n_a) from the last two n_a < n_b (Richardson in 1/n only
+    when n_b = 2 n_a), and the horizontal-ending companion constant (smaller
+    by exactly mu).
     """
     _check_digits(digits)
-    ns = _checkpoints_in(wtable, checkpoints)
     with mpmath.workdps(digits + 10):
+        ratios = _node_ratios(wtable)
+        ns = list(ratios)
         mu = 1 + mpmath.sqrt(2)
         ref = mpmath.mpf(REFERENCES["B0"])
-
-        def ratio(n: int):
-            return wtable[n] * mpmath.sqrt(n) / mu**n
-
-        ratios = {n: ratio(n) for n in ns}
         gaps = {n: abs(ratios[n] - ref) for n in ns}
         value = 2 * ratios[ns[-1]] - ratios[ns[-2]] if len(ns) >= 2 else ratios[ns[-1]]
 
@@ -292,15 +291,14 @@ def halfplane_reference(digits: int = 30):
         return mpmath.sqrt((7 + 5 * mpmath.sqrt(2)) / (2 * mpmath.pi))
 
 
-def constant_halfplane(htable: CountTable, checkpoints=(100, 200, 400),
-                       digits: int = 30) -> AsymptoticReport:
-    """Closed constant sqrt((7+5 sqrt2)/(2 pi)) against half-plane counts."""
+def constant_halfplane(htable: CountTable, digits: int = 30) -> AsymptoticReport:
+    """Closed constant sqrt((7+5 sqrt2)/(2 pi)) against the ratios
+    h_n sqrt(n) / mu^n of half-plane counts at the :func:`_node_ratios` nodes."""
     _check_digits(digits)
-    ns = _checkpoints_in(htable, checkpoints)
     with mpmath.workdps(digits + 10):
-        mu = 1 + mpmath.sqrt(2)
         closed = halfplane_reference(digits + 10)
-        ratios = {n: htable[n] * mpmath.sqrt(n) / mu**n for n in ns}
+        ratios = _node_ratios(htable)
+        ns = list(ratios)
         n = ns[-1]
         return AsymptoticReport(
             "halfplane", "analytic", _nstr(closed, digits), digits,
@@ -434,6 +432,8 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
             return s_hi - d * rt_hi, d
 
         c3, _ = fit_const(p3)
+        with mpmath.workdps(30):  # B0 / mu, see ledger entry sqrt-n-constant-pair
+            sqrt_ref = _nstr(mpmath.mpf(REFERENCES["B0"]) / (1 + mpmath.sqrt(2)), 17)
         c2, d2 = fit_const(p2)
         c_sum, d_sum = fit_const(p2 + p3)
         reports.append(AsymptoticReport(
@@ -446,7 +446,7 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
                 "p2_vs_minus_theta": _nstr(abs(c2 + theta_c), 3),
                 "sum_constant": _nstr(c_sum, 6),
                 "sum_sqrt_term": _nstr(d_sum, 8),
-                "sqrt_term_reference": REFERENCES["B0_horizontal"],
+                "sqrt_term_reference": sqrt_ref,
                 "h1_check_constant": _nstr(fit_const(h1)[0], 6),
             },
         ))

@@ -132,11 +132,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["clean"] else EXIT_VERIFY_FAIL
 
 
-def _checkpoints(nmax: int) -> tuple[int, ...]:
-    """The fit checkpoints of B0 and halfplane: nmax/4, nmax/2, nmax, each >= 10."""
-    return tuple(n for n in (nmax // 4, nmax // 2, nmax) if n >= 10)
-
-
 #: each asympt constant -> (the smallest --nmax at which it has data to fit,
 #: its builder from the asymptotics module and the flags); a builder returns
 #: its reports, or a dict of named extras.  report builds A0, theta and the
@@ -147,11 +142,9 @@ _CONSTS = {
         count_walks(WedgeModel("symmetric", 1), args.nmax), args.digits)),
     "theta": (0, lambda asy, args: [asy.constant_theta(args.digits)]),
     "B0": (10, lambda asy, args: [asy.constant_B0(
-        count_walks(WedgeModel("asymmetric", 1), args.nmax),
-        _checkpoints(args.nmax), args.digits)]),
+        count_walks(WedgeModel("asymmetric", 1), args.nmax), args.digits)]),
     "halfplane": (10, lambda asy, args: [asy.constant_halfplane(
-        count_walks(WedgeModel("halfplane", 1), args.nmax),
-        _checkpoints(args.nmax), args.digits)]),
+        count_walks(WedgeModel("halfplane", 1), args.nmax), args.digits)]),
     "eq-accuracy": (0, lambda asy, args: {"accuracy_table": asy.eq37_accuracy(
         count_walks(WedgeModel("symmetric", 1), 40), args.digits)}),
     "p-pieces": (2, lambda asy, args: asy.p_pieces_asymptotics(args.nmax, args.digits)),

@@ -347,18 +347,15 @@ def p_asym(b: Arg, order: int) -> TSeries:
 
 # -- residual verification ---------------------------------------------------
 
-def residual_functional_eq(kind: str, p: int, a, b, order: int,
-                           weighted=None) -> TSeries:
+def residual_functional_eq(kind: str, p: int, a, b, order: int, w) -> TSeries:
     """LHS - RHS of the column-construction equation at rational (a, b).
 
-    The walk series f (or h) and its boundary specializations come from the
-    dynamic-programming weighted series; the result must vanish identically
-    mod t^(order+1).
+    The walk series f (or h) and its boundary specializations come from
+    ``w``, the dynamic-programming weighted series of the same model and p
+    to at least ``order``; the result must vanish identically mod
+    t^(order+1).
     """
-    from .walks import weighted_gf  # local import to keep modules decoupled
-
     a, b = Fraction(a), Fraction(b)
-    w = weighted if weighted is not None else weighted_gf(kind, p, order)
     fab = w.series_at(a, b)
     f_lower = w.series_lower(a)
     f_upper = w.series_upper(b)
@@ -374,13 +371,11 @@ def residual_functional_eq(kind: str, p: int, a, b, order: int,
     return fab - rhs
 
 
-def residual_kernel_form(kind: str, p: int, a, b, order: int,
-                         weighted=None) -> TSeries:
-    """K*f - X - Y*f(a,ta) - Z*f(tb,b); an equivalent kernel-form residual."""
-    from .walks import weighted_gf
-
+def residual_kernel_form(kind: str, p: int, a, b, order: int, w) -> TSeries:
+    """K*f - X - Y*f(a,ta) - Z*f(tb,b), with f and its boundary
+    specializations from the weighted series ``w``; an equivalent
+    kernel-form residual."""
     a, b = Fraction(a), Fraction(b)
-    w = weighted if weighted is not None else weighted_gf(kind, p, order)
     coeffs = kernel_coeffs(kind, p, a, b, order)
     return (coeffs.kernel * w.series_at(a, b)
             - coeffs.free_term

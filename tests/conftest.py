@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from wedgewalks.walks import WedgeModel, count_walks, weighted_gf
@@ -5,14 +7,19 @@ from wedgewalks.walks import WedgeModel, count_walks, weighted_gf
 
 @pytest.fixture(scope="session")
 def tables():
-    """Memoized exact count tables shared across the whole run."""
+    """Memoized exact count tables shared across the whole run.
+
+    Each table has lengths 0..n exactly, cut from the longest one counted so
+    far, as ``count_walks(model, n)`` would return it (the fits read their
+    nodes off the table's length).
+    """
     cache = {}
 
     def get(kind: str, n: int, p: int = 1):
         key = (kind, p)
         if key not in cache or len(cache[key]) <= n:
             cache[key] = count_walks(WedgeModel(kind, p), n)
-        return cache[key]
+        return dataclasses.replace(cache[key], counts=cache[key].counts[:n + 1])
 
     return get
 

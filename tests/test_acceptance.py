@@ -162,7 +162,7 @@ def test_criterion_07_internal_consistency_of_printed_constants():
 def test_criterion_08_B0_empirical(tables):
     start = time.perf_counter()
     wt = tables("asymmetric", 400)
-    rep = asy.constant_B0(wt, checkpoints=(100, 200, 400))
+    rep = asy.constant_B0(wt)
     elapsed = time.perf_counter() - start
     with mpmath.workdps(40):
         ref = mpmath.mpf(asy.REFERENCES["B0"])
@@ -179,7 +179,7 @@ def test_criterion_08_B0_empirical(tables):
 
 def test_criterion_09_halfplane(tables):
     ht = tables("halfplane", 400)
-    rep = asy.constant_halfplane(ht, checkpoints=(100, 200, 400))
+    rep = asy.constant_halfplane(ht)
     with mpmath.workdps(40):
         rel = mpmath.mpf(rep.diagnostics["relative_gap_at_last"])
     verdicts = suites.run_suite("interpretations")

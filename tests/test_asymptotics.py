@@ -87,7 +87,7 @@ class TestEq37:
 class TestFits:
     def test_B0_quick_window(self, tables):
         wt = tables("asymmetric", 120)
-        rep = asy.constant_B0(wt, checkpoints=(30, 60, 120))
+        rep = asy.constant_B0(wt)
         with mpmath.workdps(30):
             ratio = mpmath.mpf(rep.diagnostics["ratio_at_120"])
             ref = mpmath.mpf(asy.REFERENCES["B0"])
@@ -96,11 +96,27 @@ class TestFits:
 
     def test_halfplane_quick_window(self, tables):
         ht = tables("halfplane", 120)
-        rep = asy.constant_halfplane(ht, checkpoints=(30, 60, 120))
+        rep = asy.constant_halfplane(ht)
         with mpmath.workdps(30):
             assert mpmath.mpf(rep.diagnostics["relative_gap_at_last"]) < 0.05
         closed = mpmath.mpf(rep.value)
         assert abs(closed - mpmath.mpf("1.4964892237632885")) < 1e-12
+
+    @pytest.mark.parametrize("top,nodes", [(10, [10]), (39, [19, 39]),
+                                           (121, [30, 60, 121])])
+    def test_fit_nodes_come_from_the_table(self, tables, top, nodes):
+        # N//4, N//2 and N for N = len(table) - 1, each >= 10
+        for rep in (asy.constant_B0(tables("asymmetric", top)),
+                    asy.constant_halfplane(tables("halfplane", top))):
+            assert rep.n_range == (nodes[0], nodes[-1])
+            assert [k for k in rep.diagnostics if k.startswith("ratio_at_")] == \
+                [f"ratio_at_{n}" for n in nodes]
+
+    def test_fit_needs_a_node(self, tables):
+        for fit, kind in ((asy.constant_B0, "asymmetric"),
+                          (asy.constant_halfplane, "halfplane")):
+            with pytest.raises(ValueError, match="length >= 10"):
+                fit(tables(kind, 9))
 
     def test_halfplane_small_length_ratio(self, tables):
         # 20 * sqrt(4) / mu^4 = 1.177...: below the limit and rising

@@ -381,8 +381,10 @@ class TestReport:
 #: its usage line to the terminal width); the B0, halfplane, p-pieces and
 #: roots lines were recorded at 19d81fa, and the A1A2, report and
 #: p2-summand-tail lines after A1A2 began to report the digits asked and the
-#: p2-summand-tail entry was corrected.  A refactor must leave every one
-#: unchanged
+#: p2-summand-tail entry was corrected.  The B0 and halfplane --nmax 121 lines
+#: (fit nodes 30, 60, 121) were recorded at 5d0e1b9, and the p-pieces line
+#: again when its sqrt_term_reference became B0 / (1 + sqrt 2).  A refactor
+#: must leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -419,7 +421,9 @@ PINNED = {
     "report --nmax 12 --order 12 --digits 20": "fd84be4379090d75",
     "asympt --const B0 --nmax 60": "22ebfc47989ec8c5",
     "asympt --const halfplane --nmax 60": "4d7aee7dc44f3bf5",
-    "asympt --const p-pieces --nmax 50": "eceeb938165e421e",
+    "asympt --const B0 --nmax 121": "03e8566762ab70f5",
+    "asympt --const halfplane --nmax 121": "55eb65f45a64c1bd",
+    "asympt --const p-pieces --nmax 50": "f4af854d842820de",
     "asympt --const roots --kmax 3": "925c0c423e24a7fd",
     "asympt --const A1A2 --nmax 120": "0e7457ada4d08513",
 }

@@ -8,6 +8,7 @@ import pytest
 from wedgewalks import kernel
 from wedgewalks.closedforms import printed_p_asym, printed_q_asym, printed_q_sym
 from wedgewalks.series import TSeries, tpoly
+from wedgewalks.walks import weighted_gf
 
 
 class TestKernelCoeffs:
@@ -221,12 +222,12 @@ class TestResiduals:
         ("asymmetric", 3, Fraction(1), Fraction(2, 3)),
     ])
     def test_functional_equation_residual(self, kind, p, a, b):
-        res = kernel.residual_functional_eq(kind, p, a, b, 30)
+        res = kernel.residual_functional_eq(kind, p, a, b, 30, weighted_gf(kind, p, 30))
         assert res.is_zero(), res.valuation
 
     def test_kernel_form_residual(self):
-        res = kernel.residual_kernel_form("symmetric", 2, Fraction(1, 2),
-                                          Fraction(1, 3), 25)
+        res = kernel.residual_kernel_form("symmetric", 2, Fraction(1, 2), Fraction(1, 3),
+                                          25, weighted_gf("symmetric", 2, 25))
         assert res.is_zero()
 
 

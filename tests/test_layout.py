@@ -35,3 +35,38 @@ def test_every_public_definition_is_used():
             if not re.search(rf"\b{re.escape(name)}\b", text):
                 unused.append(f"{path.name}:{first} {name}")
     assert not unused, unused
+
+
+#: the package modules that each module imports, at the top or inside a
+#: function; ``__init__`` stands for ``from . import __version__``
+IMPORTS = {
+    "__init__": {"series", "walks"},
+    "asymptotics": {"closedforms", "errors", "series", "walks"},
+    "cli": {"__init__", "asymptotics", "closedforms", "discrepancies", "errors", "suites",
+            "walks"},
+    "closedforms": {"errors", "kernel", "series"},
+    "discrepancies": {"closedforms", "suites", "walks"},
+    "errors": set(),
+    "kernel": {"series"},
+    "series": set(),
+    "suites": {"closedforms", "kernel", "series", "walks"},
+    "walks": {"errors", "series"},
+}
+
+
+def _package_imports(path: Path, modules: set[str]) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+def test_each_module_imports_only_its_pinned_layer():
+    # kernel builds series only: the walk counts reach it as arguments
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {path.stem for path in paths}
+    assert {path.stem: _package_imports(path, modules) for path in paths} == IMPORTS

@@ -31,8 +31,26 @@ def test_closedform_suite_clean():
     assert summary["counts"]["reported"] >= 1
 
 
+@pytest.mark.parametrize("name", ["kernel", "funceq", "closedform", "interpretations"])
+@pytest.mark.parametrize("order", [0, 1, 5, 30])
+def test_no_verdict_claims_more_than_its_residuals_know(monkeypatch, name, order):
+    # a residual reliable only through t^k cannot back a verdict on t^order, k < order
+    short = []
+    verdict = suites._verdict
+
+    def checked(suite, identity, vorder, *residuals, **kwargs):
+        short.extend((identity, kwargs.get("a"), r.order, vorder)
+                     for r in residuals if r.order < vorder)
+        return verdict(suite, identity, vorder, *residuals, **kwargs)
+
+    monkeypatch.setattr(suites, "_verdict", checked)
+    summary = suites.summarize(suites.run_suite(name, order=order))
+    assert short == []
+    assert summary["clean"]
+
+
 def test_growth_suite_clean():
-    summary = suites.summarize(suites.run_suite("growth", n_max=15, sandwich_n=40))
+    summary = suites.summarize(suites.run_suite("growth"))
     assert summary["clean"]
 
 
@@ -71,7 +89,7 @@ _SMALL = {
     "funceq": {"order": 8},
     "closedform": {"order": 12},
     "interpretations": {},
-    "growth": {"n_max": 8, "sandwich_n": 20},
+    "growth": {},
     "kernel": {"order": 4},
 }
 
