@@ -259,10 +259,12 @@ def constant_B0(wtable: CountTable, digits: int = 30) -> AsymptoticReport:
     with mpmath.workdps(digits + 10):
         ratios = _node_ratios(wtable)
         ns = list(ratios)
+        if len(ns) < 2:
+            raise ValueError(f"B0 needs two fit nodes: counts to length >= 20, not {ns[-1]}")
         mu = 1 + mpmath.sqrt(2)
         ref = mpmath.mpf(REFERENCES["B0"])
         gaps = {n: abs(ratios[n] - ref) for n in ns}
-        value = 2 * ratios[ns[-1]] - ratios[ns[-2]] if len(ns) >= 2 else ratios[ns[-1]]
+        value = 2 * ratios[ns[-1]] - ratios[ns[-2]]
 
         # horizontal-ending counts are the full counts shifted by one length
         n = ns[-1]

@@ -3,17 +3,14 @@
 Verbs: count, series, verify, asympt, report, ledger.  Output is CSV or JSON
 with exact decimal integers (JSON integers are string-encoded: counts near
 length 1000 have ~385 digits).  The same flags always produce byte-identical
-output.
+output, and a flag either acts or is refused.
 
 Exit codes: 0 success, 1 unexpected verification failure or internal error,
 2 invalid flags, 3 resource budget exceeded.
 
 ``main`` builds its argparse tree once per process (``_parser`` is cached)
-and never changes it afterwards.  ``--digits`` of ``asympt`` and ``report``
-has no parser default: when the flag is absent, ``main`` reads
-``WEDGEWALKS_DIGITS`` (default 30) after parsing, on every call, and a bad
-value is a one-line ``error:`` with exit 2.  ``asymptotics`` (and so mpmath)
-is imported by ``asympt`` and ``report`` alone, so ``count``, ``series``,
+and never changes it afterwards.  ``asymptotics`` (and so mpmath) is
+imported by ``asympt`` and ``report`` alone, so ``count``, ``series``,
 ``verify`` and ``ledger`` never load mpmath.
 """
 
@@ -22,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -107,7 +103,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.kind in cf.ROOT_ARG_KINDS and args.a == 0:
+    if args.a == 0:  # given only for the root-argument kinds
         raise UsageError(f"--a must be nonzero for --kind {args.kind}")
     if args.kind == "weighted":
         w = weighted_gf(args.model, args.p, args.order)
@@ -122,10 +118,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.order is not None and args.suite in ("growth", "all"):
-        raise UsageError(f"--order does not apply to --suite {args.suite}")
-    order = 30 if args.order is None else args.order
-    kwargs = {} if args.suite in ("growth", "all") else {"order": order}
+    kwargs = {} if args.suite in ("growth", "all") else {"order": args.order}
     verdicts = suites.run_suite(args.suite, **kwargs)
     summary = suites.summarize(verdicts)
     _write(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.out)
@@ -141,7 +134,7 @@ _CONSTS = {
     "A1A2": (60, lambda asy, args: asy.constants_A1A2(
         count_walks(WedgeModel("symmetric", 1), args.nmax), args.digits)),
     "theta": (0, lambda asy, args: [asy.constant_theta(args.digits)]),
-    "B0": (10, lambda asy, args: [asy.constant_B0(
+    "B0": (20, lambda asy, args: [asy.constant_B0(
         count_walks(WedgeModel("asymmetric", 1), args.nmax), args.digits)]),
     "halfplane": (10, lambda asy, args: [asy.constant_halfplane(
         count_walks(WedgeModel("halfplane", 1), args.nmax), args.digits)]),
@@ -212,12 +205,33 @@ def cmd_ledger(args) -> int:
     return EXIT_OK
 
 
-def _env_digits() -> int:
-    """--digits of asympt and report when the flag is not given."""
-    try:
-        return _positive_int(os.environ.get("WEDGEWALKS_DIGITS", "30"))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"WEDGEWALKS_DIGITS: {exc}") from None
+#: flags that act only for some values of their verb's choosing flag, and so
+#: have no parser default: (verb, flag) -> (the choosing flag, the values it
+#: acts for, the default that ``check_flags`` fills in when it is absent).
+_ACTS_ONLY_FOR = {
+    ("count", "p"): ("model", ("symmetric", "asymmetric"), 1),
+    ("series", "p"): ("kind", ("bargraph", "weighted"), 1),
+    ("series", "a"): ("kind", cf.ROOT_ARG_KINDS, Fraction(1)),
+    ("series", "model"): ("kind", ("weighted",), "symmetric"),
+    ("series", "format"): ("kind", cf.GF_KINDS, "csv"),  # weighted writes JSON
+    ("verify", "order"): ("suite", ("kernel", "funceq", "closedform", "interpretations"), 30),
+    ("asympt", "nmax"): ("const", ("A1A2", "B0", "halfplane", "p-pieces", "all"), 400),
+    ("asympt", "kmax"): ("const", ("roots", "all"), 20),
+    ("ledger", "id"): ("action", ("explain",), None),
+}
+
+
+def check_flags(args) -> None:
+    """Refuse a flag given for a choice it does not act on; default the rest."""
+    for (verb, flag), (choosing, acts_for, default) in _ACTS_ONLY_FOR.items():
+        if verb != args.verb:
+            continue
+        choice = getattr(args, choosing)
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif choice not in acts_for:
+            named = verb if choosing == "action" else f"--{choosing}"
+            raise UsageError(f"--{flag} does not apply to {named} {choice}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact walk counts by length")
     p.add_argument("--model", choices=KINDS, required=True)
-    p.add_argument("--p", type=_positive_int, default=1, help="wedge slope")
+    p.add_argument("--p", type=_positive_int, help="wedge slope")
     p.add_argument("--n", type=_nonnegative_int, required=True,
                    help="maximum length")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -242,34 +256,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="closed-form series coefficients")
     p.add_argument("--kind", choices=cf.GF_KINDS + ("weighted",), required=True)
     p.add_argument("--order", type=_nonnegative_int, default=50)
-    p.add_argument("--a", type=_fraction, default=Fraction(1),
+    p.add_argument("--a", type=_fraction,
                    help="rational argument for the parametrized kinds")
-    p.add_argument("--p", type=_positive_int, default=1)
+    p.add_argument("--p", type=_positive_int)
     p.add_argument("--model", choices=("symmetric", "asymmetric"),
-                   default="symmetric", help="for --kind weighted")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+                   help="for --kind weighted")
+    p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out")
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=tuple(suites.SUITES) + ("all",),
                    required=True)
-    p.add_argument("--order", type=_nonnegative_int)  # 30 when not given
+    p.add_argument("--order", type=_nonnegative_int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("asympt", help="asymptotic constants and audits")
     p.add_argument("--const", choices=(*_CONSTS, "all"), default="all")
-    p.add_argument("--digits", type=_positive_int)  # WEDGEWALKS_DIGITS when not given
-    p.add_argument("--nmax", type=_nonnegative_int, default=400)
-    p.add_argument("--kmax", type=_nonnegative_int, default=20)
+    p.add_argument("--digits", type=_positive_int, default=30)
+    p.add_argument("--nmax", type=_nonnegative_int)
+    p.add_argument("--kmax", type=_nonnegative_int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_asympt)
 
     p = sub.add_parser("report", help="bundle everything into one JSON document")
     p.add_argument("--order", type=_nonnegative_int, default=30)
     p.add_argument("--nmax", type=_nonnegative_int, default=40)
-    p.add_argument("--digits", type=_positive_int)  # WEDGEWALKS_DIGITS when not given
+    p.add_argument("--digits", type=_positive_int, default=30)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
 
@@ -291,8 +305,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(_attach_negative_a(argv))
     try:
-        if hasattr(args, "digits") and args.digits is None:
-            args.digits = _env_digits()
+        check_flags(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

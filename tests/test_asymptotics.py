@@ -105,9 +105,15 @@ class TestFits:
     @pytest.mark.parametrize("top,nodes", [(10, [10]), (39, [19, 39]),
                                            (121, [30, 60, 121])])
     def test_fit_nodes_come_from_the_table(self, tables, top, nodes):
-        # N//4, N//2 and N for N = len(table) - 1, each >= 10
-        for rep in (asy.constant_B0(tables("asymmetric", top)),
-                    asy.constant_halfplane(tables("halfplane", top))):
+        # N//4, N//2 and N for N = len(table) - 1, each >= 10; B0 extrapolates
+        # from the last two, so it refuses a table with one
+        reps = [asy.constant_halfplane(tables("halfplane", top))]
+        if len(nodes) < 2:
+            with pytest.raises(ValueError, match="two fit nodes"):
+                asy.constant_B0(tables("asymmetric", top))
+        else:
+            reps.append(asy.constant_B0(tables("asymmetric", top)))
+        for rep in reps:
             assert rep.n_range == (nodes[0], nodes[-1])
             assert [k for k in rep.diagnostics if k.startswith("ratio_at_")] == \
                 [f"ratio_at_{n}" for n in nodes]

@@ -156,11 +156,12 @@ class TestAsympt:
         assert rep["reference"] == "0.27730985348603118827"
         assert rep["value"].startswith("0.2773098534860311882")
 
-    def test_env_default_digits(self, monkeypatch):
-        monkeypatch.setenv("WEDGEWALKS_DIGITS", "17")
-        code, out = run_main("asympt", "--const", "theta")
-        assert code == 0
-        assert json.loads(out)["digits"] == 17
+    @pytest.mark.parametrize("value", ["abc", "12"])
+    def test_digits_variable_is_ignored(self, monkeypatch, value):
+        # --digits has a parser default; no environment variable stands in for it
+        unset = pinned_digest("asympt --const theta")
+        monkeypatch.setenv("WEDGEWALKS_DIGITS", value)
+        assert pinned_digest("asympt --const theta") == unset
 
     def test_roots_audit(self):
         code, out = run_main("asympt", "--const", "roots", "--kmax", "5")
@@ -286,13 +287,14 @@ class TestExitCodes:
              "--n", "3"], capture_output=True)
         assert proc.returncode == cli.EXIT_USAGE
 
+    # env: a WEDGEWALKS_DIGITS value in the environment, which the CLI never reads
     @pytest.mark.parametrize("env,argv,code", [
         ("abc", ["ledger", "list"], 0),
-        ("abc", ["asympt", "--const", "theta"], 2),
         ("abc", ["asympt", "--const", "theta", "--digits", "5"], 0),
         (None, ["asympt", "--const", "theta", "--digits", "-5"], 2),
         (None, ["asympt", "--const", "theta", "--digits", "201"], 3),
         (None, ["asympt", "--const", "B0", "--nmax", "5"], 2),
+        (None, ["asympt", "--const", "B0", "--nmax", "19"], 2),
         (None, ["asympt", "--const", "halfplane", "--nmax", "5"], 2),
         (None, ["asympt", "--const", "roots", "--kmax", "-1"], 2),
         (None, ["series", "--kind", "dyck", "--order", "-1"], 2),
@@ -382,9 +384,10 @@ class TestReport:
 #: roots lines were recorded at 19d81fa, and the A1A2, report and
 #: p2-summand-tail lines after A1A2 began to report the digits asked and the
 #: p2-summand-tail entry was corrected.  The B0 and halfplane --nmax 121 lines
-#: (fit nodes 30, 60, 121) were recorded at 5d0e1b9, and the p-pieces line
-#: again when its sqrt_term_reference became B0 / (1 + sqrt 2).  A refactor
-#: must leave every one unchanged
+#: (fit nodes 30, 60, 121) were recorded at 5d0e1b9, the p-pieces line again
+#: when its sqrt_term_reference became B0 / (1 + sqrt 2), and the B0 --nmax 9
+#: line when B0 came to need two fit nodes (--nmax >= 20).  A refactor must
+#: leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -414,7 +417,7 @@ PINNED = {
     "ledger explain --id accuracy-table-figures": "a5d751274161ff71",
     "series --kind bogus": "2491b617c6fd5a80",
     "asympt --const bogus": "311e38d668060afb",
-    "asympt --const B0 --nmax 9": "b34bc1a31bff50f0",
+    "asympt --const B0 --nmax 9": "9ccde44cffbdbd21",
     "asympt --const all --nmax 59": "b2dcaae12b220379",
     "asympt --nmax -1": "771fe486ada74560",
     "series --kind H_aya_raw --a 0": "94b6e032a0c92beb",
@@ -444,7 +447,6 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("line", PINNED)
     def test_bytes_unchanged(self, monkeypatch, line):
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.delenv("WEDGEWALKS_DIGITS", raising=False)
         assert pinned_digest(line) == PINNED[line]
 
     def test_covers_every_kind_and_ledger_entry(self):
@@ -469,35 +471,93 @@ class TestOneParserPerProcess:
                               capture_output=True, text=True, timeout=120)
         assert proc.stdout.split() == ["0,False"] * 4 + ["0"], proc.stderr
 
-    def test_digits_read_on_every_call(self, monkeypatch, capsys, request):
+    def test_parser_built_once_across_calls(self, monkeypatch, capsys, request):
         cli._parser.cache_clear()
         request.addfinalizer(cli._parser.cache_clear)
         built = []
         build = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
         digits = []
-        for env in ("17", "25", None):
-            if env is None:
-                monkeypatch.delenv("WEDGEWALKS_DIGITS")
-            else:
-                monkeypatch.setenv("WEDGEWALKS_DIGITS", env)
-            code, out = run_main("asympt", "--const", "theta")
+        for flag in (["--digits", "17"], ["--digits", "25"], []):
+            code, out = run_main("asympt", "--const", "theta", *flag)
             assert code == 0
             digits.append(json.loads(out)["digits"])
         assert digits == [17, 25, 30]
-        monkeypatch.setenv("WEDGEWALKS_DIGITS", "abc")
-        assert cli.main(["asympt", "--const", "theta"]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "error: WEDGEWALKS_DIGITS: not an integer >= 1: 'abc'\n")
+        assert cli.main(["asympt", "--const", "theta", "--kmax", "3"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: --kmax does not apply to --const theta\n"
         assert run_main("ledger", "list")[0] == 0
         assert len(built) == 1
 
     def test_state_does_not_leak_between_calls(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.delenv("WEDGEWALKS_DIGITS", raising=False)
         assert pinned_digest("series --kind bogus") == PINNED["series --kind bogus"]
         for line in reversed(PINNED):
             assert pinned_digest(line) == PINNED[line], line
+
+
+#: each verb's argv up to its choosing flag's value, and every value it takes
+_CHOICES = {
+    "count": (["count", "--n", "3", "--model"], cli.KINDS),
+    "series": (["series", "--kind"], (*cli.cf.GF_KINDS, "weighted")),
+    "verify": (["verify", "--suite"], (*cli.suites.SUITES, "all")),
+    "asympt": (["asympt", "--const"], (*cli._CONSTS, "all")),
+    "ledger": (["ledger"], ("list", "explain")),
+}
+#: a value each flag of the table parses
+_VALUE = {"p": "2", "a": "1/2", "model": "asymmetric", "format": "json",
+          "order": "5", "nmax": "60", "kmax": "3", "id": "halfplane-gf"}
+#: every (verb, flag, choice) where the flag would do nothing
+_IDLE = [(verb, flag, choice)
+         for (verb, flag), (_, acts_for, _) in cli._ACTS_ONLY_FOR.items()
+         for choice in _CHOICES[verb][1] if choice not in acts_for]
+#: per table row: a cheap invocation inside the row (its choice last), and
+#: two values of the flag that give different output there
+_ACTS = {
+    ("count", "p"): (["count", "--n", "6", "--model", "symmetric"], "1", "2"),
+    ("series", "p"): (["series", "--order", "8", "--kind", "bargraph"], "1", "2"),
+    ("series", "a"): (["series", "--order", "6", "--kind", "theta_sym"], "1", "1/2"),
+    ("series", "model"): (["series", "--order", "5", "--kind", "weighted"],
+                          "symmetric", "asymmetric"),
+    ("series", "format"): (["series", "--order", "5", "--kind", "dyck"], "csv", "json"),
+    ("verify", "order"): (["verify", "--suite", "interpretations"], "5", "6"),
+    ("asympt", "nmax"): (["asympt", "--const", "B0"], "20", "40"),
+    ("asympt", "kmax"): (["asympt", "--const", "roots"], "0", "1"),
+    ("ledger", "id"): (["ledger", "explain"], "halfplane-gf",
+                       "flat-boundary-interpretation"),
+}
+
+
+class TestFlagTable:
+    def test_rows_follow_the_dispatch_tables(self):
+        table = cli._ACTS_ONLY_FOR
+        assert table[("series", "a")][1] == cli.cf.ROOT_ARG_KINDS
+        assert table[("series", "format")][1] == cli.cf.GF_KINDS
+        for (verb, _flag), (_, acts_for, _) in table.items():
+            assert set(acts_for) < set(_CHOICES[verb][1])
+        assert set(_ACTS) == set(table)
+
+    def test_idle_uses_are_counted(self):
+        # 54 that did nothing before the table, and the two verify --order
+        # uses (growth, all) that cmd_verify refused on its own
+        assert len(_IDLE) == 56
+
+    @pytest.mark.parametrize("verb,flag,choice", _IDLE)
+    def test_flag_outside_its_row_is_refused(self, capsys, verb, flag, choice):
+        head, _ = _CHOICES[verb]
+        code, out = run_main(*head, choice, f"--{flag}", _VALUE[flag])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{flag} does not apply to ")
+        assert err.endswith(f" {choice}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("row", _ACTS, ids="-".join)
+    def test_flag_inside_its_row_acts(self, row):
+        argv, one, other = _ACTS[row]
+        assert argv[-1] in cli._ACTS_ONLY_FOR[row][1]
+        first = run_main(*argv, f"--{row[1]}", one)
+        second = run_main(*argv, f"--{row[1]}", other)
+        assert first[0] == second[0] == 0
+        assert first[1] != second[1]
 
 
 class TestReadmeCommands:
@@ -513,3 +573,4 @@ class TestReadmeCommands:
             argv = shlex.split(line, comments=True)[1:]
             args = parser.parse_args(cli._attach_negative_a(argv))
             assert args.verb == argv[0], line
+            cli.check_flags(args)  # every flag given acts; runs no job
