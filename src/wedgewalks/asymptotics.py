@@ -250,10 +250,10 @@ def _node_ratios(table: CountTable) -> dict:
 def constant_B0(wtable: CountTable, digits: int = 30) -> AsymptoticReport:
     """Empirical constant of the asymmetric wedge: w_n sqrt(n) / mu^n.
 
-    Reports the raw ratio r(n) at each node of :func:`_node_ratios`,
-    2 r(n_b) - r(n_a) from the last two n_a < n_b (Richardson in 1/n only
-    when n_b = 2 n_a), and the horizontal-ending companion constant (smaller
-    by exactly mu).
+    Reports the raw ratio r(n) at each node of :func:`_node_ratios`, the
+    line through the last two nodes n_a < n_b in 1/n extrapolated to 1/n = 0
+    (2 r(n_b) - r(n_a) when n_b = 2 n_a), and the horizontal-ending
+    companion constant (smaller by exactly mu).
     """
     _check_digits(digits)
     with mpmath.workdps(digits + 10):
@@ -264,7 +264,8 @@ def constant_B0(wtable: CountTable, digits: int = 30) -> AsymptoticReport:
         mu = 1 + mpmath.sqrt(2)
         ref = mpmath.mpf(REFERENCES["B0"])
         gaps = {n: abs(ratios[n] - ref) for n in ns}
-        value = 2 * ratios[ns[-1]] - ratios[ns[-2]]
+        value = _neville_to_zero([1 / mpmath.mpf(n) for n in ns[-2:]],
+                                 [ratios[n] for n in ns[-2:]])
 
         # horizontal-ending counts are the full counts shifted by one length
         n = ns[-1]

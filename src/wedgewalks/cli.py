@@ -201,7 +201,8 @@ def cmd_ledger(args) -> int:
             raise UsageError(f"explain needs --id, one of {', '.join(known)}")
         if args.id not in known:
             raise UsageError(f"unknown --id {args.id!r}, one of {', '.join(known)}")
-        _write(discrepancies.explain(args.id) + "\n", args.out)
+        lines = [discrepancies.explain(args.id), *suites.ledger_evidence(args.id)]
+        _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
-"""The documented discrepancy ledger.
+"""The documented discrepancy ledger: data only, with no package imports.
 
 Each entry records a closed-form statement that disagrees with exact
 enumeration (or with its own companion identities), the observed difference,
-and which side is trusted.  Ledgered discrepancies are expected: verification
-suites mark them "reported" and they never fail a run.  See DISCREPANCIES.md
-for the narrative version.
+and which side is trusted.  Ledgered discrepancies are expected: an identity
+in ``suites`` names the entry that covers it, so its mismatch is "reported"
+and never fails a run, and ``ledger explain`` adds that identity's
+coefficients to the entry's text.  See DISCREPANCIES.md for the narrative
+version.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ LEDGER = [
         title="Q vs flat-boundary walks identity fails at order 6",
         observed="t^3 (B_flat(t) - 1) agrees with Q_asym(1) at t^4 and t^5 but "
                  "gives 1 instead of 2 at t^6 (and diverges further on); the "
-                 "stated combinatorial interpretation does not hold as written",
+                 "stated combinatorial interpretation does not hold as written. "
+                 "The single-vertex walk gives both boundary series the constant "
+                 "term 1; the interpretation identities use B - 1, so the "
+                 "constant never enters the comparison",
         trusted="dynamic-programming counts of flat-boundary walks",
     ),
     Discrepancy(
@@ -100,31 +105,9 @@ def get(entry_id: str) -> Discrepancy:
 
 
 def explain(entry_id: str) -> str:
-    """Entry text plus freshly computed evidence where that is cheap."""
     d = get(entry_id)
-    lines = [f"[{d.id}] {d.title}", f"  observed: {d.observed}",
-             f"  trusted:  {d.trusted}"]
-    if entry_id == "halfplane-gf":
-        from .closedforms import gf_halfplane_printed
-        from .walks import WedgeModel, count_walks
-        counts = count_walks(WedgeModel("halfplane", 1), 5).counts
-        series = gf_halfplane_printed(5)
-        lines.append("  enumeration counts 0..5: " + ", ".join(map(str, counts)))
-        lines.append(f"  printed-formula expansion: {series}")
-    elif entry_id in ("flat-boundary-interpretation", "diag-boundary-interpretation"):
-        from .suites import interpretation_identities
-        index = 0 if entry_id.startswith("flat") else 1
-        _identity, lhs, rhs, _note = interpretation_identities(12)[index]
-        res = lhs - rhs
-        diffs = [(k, str(lhs.coeff(k)), str(rhs.coeff(k)))
-                 for k in range(res.valuation, res.order + 1) if res.coeff(k)][:8]
-        lines.append(f"  first mismatch at t^{res.valuation}; diffs "
-                     f"(order, series, walks): {diffs}")
-    elif entry_id == "term-by-term-solution":
-        from .closedforms import gf_H_aya_raw, gf_H_aya_simplified
-        lines.append(f"  printed expression: {gf_H_aya_raw(1, 5)}")
-        lines.append(f"  simplified sum:     {gf_H_aya_simplified(1, 5)}")
-    return "\n".join(lines)
+    return "\n".join([f"[{d.id}] {d.title}", f"  observed: {d.observed}",
+                      f"  trusted:  {d.trusted}"])
 
 
 def listing() -> str:

@@ -4,8 +4,8 @@ This module is the one place where a compared pair of series, a residual
 that must vanish, or an inequality between walk counts becomes a Verdict:
 ``kernel`` and ``closedforms`` only build the series, and ``walks`` only
 counts.  Each suite returns a list of Verdicts; a run is clean when
-no verdict has status "fail".  Comparisons covered by the discrepancy ledger
-report instead of failing.
+no verdict has status "fail".  A comparison that the discrepancy ledger
+covers names its entry, and reports instead of failing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import closedforms as cf
-from . import kernel
+from . import discrepancies, kernel
 from .series import TSeries
 from .walks import WedgeModel, count_walks, weighted_gf
 
@@ -52,23 +52,25 @@ def _first_bad(order: int, *residuals: TSeries) -> int | None:
 
 
 def _verdict(suite: str, identity: str, order: int, *residuals: TSeries,
-             ledger_note: str = "", **params) -> Verdict:
+             ledger: str | None = None, **params) -> Verdict:
     """The verdict on residuals that must all vanish mod t^(order+1).
 
-    A mismatch on an identity the discrepancy ledger covers (non-empty
-    ``ledger_note``) is "reported", otherwise it is a "fail".
+    A mismatch on an identity that names the discrepancy-ledger entry
+    ``ledger`` is "reported", with a note taken from that entry (an unknown
+    id raises KeyError); any other mismatch is a "fail".
     """
     bad = _first_bad(order, *residuals)
-    status = "pass" if bad is None else "reported" if ledger_note else "fail"
-    return Verdict(suite, identity, params, order, status, bad, ledger_note)
+    note = f"ledger {ledger}: {discrepancies.get(ledger).title}" if ledger else ""
+    status = "pass" if bad is None else "reported" if ledger else "fail"
+    return Verdict(suite, identity, params, order, status, bad, note)
 
 
 def _count_series(counts: list[int], order: int) -> TSeries:
     return TSeries.from_dict(dict(enumerate(counts[: order + 1])), order)
 
 
-def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str]]:
-    """(identity, lhs, rhs, ledger note) for the boundary-specialized
+def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str | None]]:
+    """(identity, lhs, rhs, ledger id or None) for the boundary-specialized
     solutions at rational a.
 
     (i)   the symmetric alternating-sum form of F(a, t*a) against the
@@ -84,20 +86,18 @@ def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str]
     simplified = cf.gf_H_aya_simplified(a, dp_order)
     return [
         ("F(a,ta) alternating sum vs enumeration", cf.gf_F_aya(a, dp_order),
-         weighted_gf("symmetric", 1, dp_order).series_lower(a), ""),
+         weighted_gf("symmetric", 1, dp_order).series_lower(a), None),
         ("H(a,ta) simplified sum vs enumeration", simplified,
-         weighted_gf("asymmetric", 1, dp_order).series_lower(a), ""),
+         weighted_gf("asymmetric", 1, dp_order).series_lower(a), None),
         ("H(a,ta) raw coefficient ladder vs simplified",
-         kernel.raw_iterated_sum(a, short), simplified.truncate(short), ""),
+         kernel.raw_iterated_sum(a, short), simplified.truncate(short), None),
         ("H(a,ta) printed term-by-term expression vs simplified",
-         cf.gf_H_aya_raw(a, short), simplified.truncate(short),
-         "the printed expression expands to a Laurent series of "
-         "valuation -1; enumeration and the simplified sum are trusted"),
+         cf.gf_H_aya_raw(a, short), simplified.truncate(short), "term-by-term-solution"),
     ]
 
 
 def interpretation_identities(order: int = 20) -> list[tuple[str, TSeries, TSeries, str]]:
-    """(identity, lhs, rhs, ledger note) comparing Q and P against
+    """(identity, lhs, rhs, ledger id) comparing Q and P against
     single-boundary walk series, and the printed half-plane closed form
     against enumeration.
 
@@ -111,19 +111,11 @@ def interpretation_identities(order: int = 20) -> list[tuple[str, TSeries, TSeri
     half = count_walks(WedgeModel("halfplane", 1), order)
     return [
         ("Q_asym(1) vs t^3 (B_flat - 1)", kernel.q_asym(1, order),
-         t3 * (_count_series(flat.counts, order) - 1),
-         "single-vertex walk contributes the constant term 1 of the "
-         "B series; the identity uses B - 1, so the constant cancels. "
-         "Coefficients still differ from t^6 on; enumeration trusted."),
+         t3 * (_count_series(flat.counts, order) - 1), "flat-boundary-interpretation"),
         ("P(1) vs t^3 (B_diag - 1)", kernel.p_asym(1, order),
-         t3 * (_count_series(diag.counts, order) - 1),
-         "with the t^2-normalized P (the form in the final walk series) "
-         "the valuations already differ; the undivided composition "
-         "Q(alpha_1(b)) matches the valuation but differs from t^7 on."),
+         t3 * (_count_series(diag.counts, order) - 1), "diag-boundary-interpretation"),
         ("half-plane printed closed form vs enumeration",
-         cf.gf_halfplane_printed(order), _count_series(half.counts, order),
-         "printed formula is Laurent of valuation -2 (numerator has "
-         "constant term -2); enumeration counts 1,2,4,9,20,... trusted"),
+         cf.gf_halfplane_printed(order), _count_series(half.counts, order), "halfplane-gf"),
     ]
 
 
@@ -274,23 +266,36 @@ def suite_closedform(order: int = 100) -> list[Verdict]:
                         - TSeries.from_dict({0: 1, 4: -1, 6: -3}, 7)))
 
     a, o = Fraction(1), min(order, 30)
-    for identity, lhs, rhs, note in solution_identities(a, o):
+    for identity, lhs, rhs, ledger in solution_identities(a, o):
         # the two H(a,ta)-vs-simplified checks are built at a shorter order
         residual = lhs - rhs
         out.append(_verdict("closedform", identity, min(o, residual.order), residual,
-                            ledger_note=note, a=a))
+                            ledger=ledger, a=a))
     return out
 
 
 def suite_interpretations(order: int = 20) -> list[Verdict]:
-    out = [_verdict("interpretations", identity, order, lhs - rhs, ledger_note=note)
-           for identity, lhs, rhs, note in interpretation_identities(order)]
-    out.append(Verdict("interpretations", "B-series constant term convention",
-                       {}, order, "reported", None,
-                       "the single-vertex walk gives both boundary series the "
-                       "constant term 1; the interpretation identities use "
-                       "B - 1, so the constant never enters the comparison"))
-    return out
+    return [_verdict("interpretations", identity, order, lhs - rhs, ledger=ledger)
+            for identity, lhs, rhs, ledger in interpretation_identities(order)]
+
+
+def ledger_evidence(entry_id: str) -> list[str]:
+    """For each identity that names ledger entry ``entry_id``: its first
+    mismatch, and both sides' coefficients to order 12 from t^0, or from the
+    residual's valuation if that is lower."""
+    o = 12
+    lines = []
+    for identity, lhs, rhs, ledger in solution_identities(1, o) + interpretation_identities(o):
+        if ledger != entry_id:
+            continue
+        residual = lhs - rhs
+        hi = min(o, residual.order)
+        lo = min(0, residual.valuation)
+        lines.append(f"  {identity}: first mismatch at t^{_first_bad(hi, residual)}")
+        for side, s in (("lhs", lhs), ("rhs", rhs)):
+            coeffs = ", ".join(str(s.coeff(k)) for k in range(lo, hi + 1))
+            lines.append(f"    {side} t^{lo}..t^{hi}: {coeffs}")
+    return lines
 
 
 def _holds(identity: str, ok: bool, note: str = "", **params) -> Verdict:

@@ -346,14 +346,14 @@ class TestHalfplane:
 class TestSolutionIdentities:
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2)])
     def test_boundary_specializations(self, a):
-        by_name = {name.split(" vs ")[0]: (lhs - rhs, note)
-                   for name, lhs, rhs, note in suites.solution_identities(a, 25)}
+        by_name = {name.split(" vs ")[0]: (lhs - rhs, ledger)
+                   for name, lhs, rhs, ledger in suites.solution_identities(a, 25)}
         for name in ("F(a,ta) alternating sum", "H(a,ta) simplified sum",
                      "H(a,ta) raw coefficient ladder"):
-            residual, note = by_name[name]
-            assert residual.is_zero() and not note, name
-        residual, note = by_name["H(a,ta) printed term-by-term expression"]
-        assert residual.valuation == -1 and note  # a ledgered mismatch
+            residual, ledger = by_name[name]
+            assert residual.is_zero() and ledger is None, name
+        residual, ledger = by_name["H(a,ta) printed term-by-term expression"]
+        assert residual.valuation == -1 and ledger == "term-by-term-solution"
 
     def test_raw_expression_low_order_structure(self):
         # the printed expression's leading term reduces to
@@ -370,12 +370,12 @@ class TestSolutionIdentities:
 
 class TestInterpretations:
     def test_flat_boundary_diffs(self):
-        _name, lhs, rhs, _note = suites.interpretation_identities(12)[0]
+        _name, lhs, rhs, _ledger = suites.interpretation_identities(12)[0]
         assert (lhs - rhs).valuation == 6
         assert (lhs.coeff(6), rhs.coeff(6)) == (2, 1)
 
     def test_diag_boundary_diffs(self):
-        _name, lhs, rhs, _note = suites.interpretation_identities(12)[1]
+        _name, lhs, rhs, _ledger = suites.interpretation_identities(12)[1]
         assert (lhs - rhs).valuation == 3  # valuations differ: 3 vs 5
 
     def test_composed_normalization_closer_but_still_off(self, tables):
@@ -390,7 +390,7 @@ class TestInterpretations:
 
     def test_reports_never_assert(self):
         identities = suites.interpretation_identities(14)
-        assert all(note for _name, lhs, rhs, note in identities
+        assert all(ledger for _name, lhs, rhs, ledger in identities
                    if not (lhs - rhs).is_zero())
         verdicts = suites.run_suite("interpretations", order=14)
         assert all(v.status != "fail" for v in verdicts)

@@ -45,11 +45,11 @@ IMPORTS = {
     "cli": {"__init__", "asymptotics", "closedforms", "discrepancies", "errors", "suites",
             "walks"},
     "closedforms": {"errors", "kernel", "series"},
-    "discrepancies": {"closedforms", "suites", "walks"},
+    "discrepancies": set(),
     "errors": set(),
     "kernel": {"series"},
     "series": set(),
-    "suites": {"closedforms", "kernel", "series", "walks"},
+    "suites": {"closedforms", "discrepancies", "kernel", "series", "walks"},
     "walks": {"errors", "series"},
 }
 

@@ -138,8 +138,9 @@ def test_first_bad_coefficient_is_the_smallest_over_residuals():
     # a nonzero coefficient beyond the verdict's order is not compared
     v = suites._verdict("kernel", "beyond the order", 10, TSeries.t_power(12, 20))
     assert (v.status, v.first_bad_coefficient) == ("pass", None)
-    v = suites._verdict("kernel", "ledgered", 10, r, ledger_note="known")
-    assert (v.status, v.first_bad_coefficient, v.note) == ("reported", 3, "known")
+    v = suites._verdict("kernel", "ledgered", 10, r, ledger="halfplane-gf")
+    assert (v.status, v.first_bad_coefficient, v.note) == (
+        "reported", 3, "ledger halfplane-gf: half-plane closed form is Laurent of valuation -2")
 
 
 def test_unknown_suite_rejected():
