@@ -28,23 +28,25 @@ one, the full domain -w*X <= Y <= p*X is
 
     max(0, ceil((n - X - p*X)/2)) <= d <= min(n - X, floor((n - X + w*X)/2)).
 
-``weighted_gf`` needs every endpoint and steps that full domain, and the
-state budget is checked on it.  ``count_walks`` needs only the totals, so it
-keeps a band of the wedge: the cells that can still reach Y = p*X in the
-steps left to n_max, above Y = 0.  A walk that leaves the band moves into
-one column indexed by its height Y, where it steps as a ``halfplane`` walk
+One step (``_wedge_step``) is the wedges' only transition: it builds each new
+column X from old columns X and X - 1 with three list additions and three
+slices, clipped to the column's range as it is built.  ``weighted_gf`` needs
+every endpoint and steps that full domain, and the state budget is checked
+on it.  ``count_walks`` needs only the totals, so the same step keeps a band
+of the wedge: the cells that can still reach Y = p*X in the steps left to
+n_max, above Y = 0.  A cell that leaves the band goes straight into one
+column indexed by its height Y, where it steps as a ``halfplane`` walk
 (asymmetric wedge) or a ``free`` walk (symmetric wedge) from then on.
 
-The five line models are one column indexed by the sheared height
-h = Y - ls*X, ls the slope of the lower line (0 when there is none): an east
-step adds -ls to h, a north or south step adds +1 or -1, and h ranges over
-[0, n].  ``free`` and the symmetric wedge are stored as their half Y >= 0:
-the reflection Y -> -Y swaps north and south arrivals, so at Y = 0 the
-north arrivals equal the south ones (the mirror floor), and the count is
-twice the stored walks less those on Y = 0.  Each target list is one source
-list shifted by its move and clipped to the target range, so a step does no
-per-state dictionary work; the frontier size at any length is known before
-the first step.
+The five line models, and that height column, are one column indexed by the
+sheared height h = Y - ls*X, ls the slope of the lower line (0 when there is
+none), stepped by ``_line_step``: an east step adds -ls to h, a north or
+south step adds +1 or -1, and h ranges over [0, n].  ``free`` and the
+symmetric wedge are stored as their half Y >= 0: the reflection Y -> -Y
+swaps north and south arrivals, so at Y = 0 the north arrivals equal the
+south ones (the mirror floor), and the count is twice the stored walks less
+those on Y = 0.  No step does per-state dictionary work, and the frontier
+size at any length is known before the first step.
 """
 
 from __future__ import annotations
@@ -108,31 +110,6 @@ class WedgeModel:
             return y == x and last in (None, "E")
         return True
 
-    def _geometry(self):
-        """(moves, span): the state space of the DP over the whole domain.
-
-        A state is (column, index).  ``moves`` holds the (column, index)
-        offsets of an east, a north and a south step; ``span(n, c)`` is the
-        closed index range (lo, hi) of column c at length n, empty when
-        lo > hi.  Every vertex of a walk is the endpoint at some length, so
-        the span is the whole domain condition (for ``free``, its half
-        Y >= 0).  ``count_walks`` keeps only a band of a wedge's span.
-        """
-        p = self.p
-        if self.kind in ("symmetric", "asymmetric"):
-            # column X, index d = south steps so far, Y = n - X - 2d;
-            # -w*X <= Y <= p*X with w = p (symmetric) or 0 (asymmetric)
-            w = p if self.kind == "symmetric" else 0
-
-            def span(n: int, x: int) -> tuple[int, int]:
-                return max(0, (n - x - p * x + 1) // 2), min(n - x, (n - x + w * x) // 2)
-
-            return ((1, 0), (0, 0), (0, 1)), span
-        # one column, indexed by h = Y - ls*X with ls the lower-line slope;
-        # free keeps only its half h >= 0 (see _mirror)
-        shift = -1 if self.kind == "boundary_diag" else 0
-        return ((0, shift), (0, 1), (0, -1)), lambda n, x: (0, n)
-
 
 @dataclass
 class CountTable:
@@ -162,108 +139,122 @@ class CountTable:
         )
 
 
-def _window(src: list[int], start: int, size: int) -> list[int]:
-    """``src[start:start + size]``, reading 0 outside ``src``."""
-    if size <= 0:
-        return []
-    if start >= 0:
-        out = src[start:start + size]
-    else:
-        out = [0] * min(-start, size) + src[:max(0, start + size)]
-    if len(out) < size:
-        out += [0] * (size - len(out))
-    return out
+def _frontier_size(model: WedgeModel, n: int) -> int:
+    """Cells of the whole domain at length n (for ``free``, its half Y >= 0).
 
-
-def _step(columns: list, n: int, moves, span) -> tuple[list, list]:
-    """Extend every walk by one step, to length n; the only transition function.
-
-    ``columns[c]`` is (lo, e, u, d): the counts of walks ending at indices
-    lo, lo + 1, ... of column c, split by the arriving step (east or start,
-    north, south).  An east step may follow any step, a north step any but a
-    south one, and a south step any but a north one; each target list is one
-    source list, shifted by its move and clipped to the target span.
-    Returns the new columns and, per old column, the number of walks of
-    length n - 1 at each of its cells (e + u + d).
+    The domain only grows with n, so this bounds every frontier of the DP.
     """
-    # per source column, what may take an east, a north and a south step
-    sources = []
-    for lo, e, u, d in columns:
-        eu = list(map(add, e, u))
-        sources.append((lo, (list(map(add, eu, d)), eu, list(map(add, e, d)))))
-    grow = max(dc for dc, _dk in moves)
+    if model.kind not in ("symmetric", "asymmetric"):
+        return n + 1
+    p = model.p
+    w = p if model.kind == "symmetric" else 0
+    return sum(max(0, min(n - x, (n - x + w * x) // 2) - max(0, (n - x - p * x + 1) // 2) + 1)
+               for x in range(n + 1))
+
+
+def _wedge_step(band: list, n: int, p: int, w: int, reach: int | None,
+                line: tuple | None = None, mirror: bool = False) -> tuple[list, int, int]:
+    """Extend every wedge walk by one step, to length n; the wedges' only transition.
+
+    ``band[X]`` is (lo, e, u, d): the counts of walks ending at (X, d) for
+    d = lo, lo + 1, ..., split by the arriving step (east or start, north,
+    south).  An east step may follow any step, a north step any but a south
+    one, and a south step any but a north one.  New column X is built from
+    old column X (north keeps d, south adds 1 to it) and old column X - 1
+    (east keeps d), clipped as it is built to
+
+        lo = max(0, ceil((n - (p+1)*X)/2)) <= d <= hi = min(floor, near(X) - 1),
+
+    with floor = min(n - X, floor((n - X + w*X)/2)) the lower line Y = -w*X
+    and near(X) = ceil((reach - (p+1)*X)/2) the band (none when ``reach`` is
+    None).  A north step over Y = p*X or a south step below the floor is
+    dropped; a cell past near(X) - 1 goes straight into the line column
+    ``line`` = (e, u, d) at its height Y = n - X - 2d.  With ``mirror`` the
+    floor Y = 0 is a mirror (see ``count_walks``): the north arrivals at a
+    Y = 0 cell, from the unstored Y = -1, are set to its south arrivals.
+
+    Returns the new band, the number of walks of length n - 1 in the old
+    band, and (with ``mirror``) the number of walks of length n on Y = 0.
+    """
     new = []
-    for c in range(len(columns) + grow):
-        lo, hi = span(n, c)
+    total = on_floor = 0
+    east_lo, east_src = 0, []  # old column X - 1, all of which may step east
+    q = p + 1
+    # a last, empty old column: the new column that east steps open
+    for x, (src_lo, e, u, d) in enumerate(band + [(0, [], [], [])]):
+        # what may step north (a new top cell gets 0), south (shifted by
+        # one, so that index j is target d = src_lo + j) and east
+        eu = [*map(add, e, u), 0]
+        ed = [0, *map(add, e, d)]
+        tot = list(map(add, eu, d))
+        total += sum(tot)
+        lo = (n - q * x + 1) // 2
+        if lo < 0:
+            lo = 0
+        floor = (n - x + w * x) // 2
+        if floor > n - x:
+            floor = n - x
+        hi = floor
+        if reach is not None and (reach - q * x - 1) // 2 < hi:
+            hi = (reach - q * x - 1) // 2  # near(X) - 1
         size = hi - lo + 1
-        lists = []
-        for which, (dc, dk) in enumerate(moves):
-            s = c - dc
-            if 0 <= s < len(sources):
-                src_lo, src = sources[s]
-                lists.append(_window(src[which], lo - dk - src_lo, size))
-            else:
-                lists.append([0] * max(0, size))
-        new.append((lo, *lists))
-    return new, [totals for _lo, (totals, _eu, _ed) in sources]
-
-
-def _frontier_size(moves, span, n: int) -> int:
-    """Cells of the frontier at length n; spans only grow, so this is the peak."""
-    grow = max(dc for dc, _dk in moves)
-    spans = (span(n, c) for c in range(1 + grow * n))
-    return sum(max(0, hi - lo + 1) for lo, hi in spans)
-
-
-def _spill(band: list, line: tuple, n: int, near) -> None:
-    """Move the band cells that can no longer reach Y = p*X into the line column.
-
-    Column X keeps the indices d < near(X); a cell beyond, at height
-    Y = n - X - 2d, joins the line column at Y with its east and south
-    arrivals (a north step keeps d, so it never leaves the band).  Trailing
-    columns left empty are dropped: ``_step`` grows a column again when the
-    one before it still has an east step to give.
-    """
-    _lo, line_e, _u, line_d = line
-    for x, (lo, e, u, d) in enumerate(band):
-        keep = max(0, near(x) - lo)
-        if keep < len(e):
-            y = n - x - 2 * (lo + keep)
-            for k in range(keep, len(e)):
-                line_e[y] += e[k]
-                line_d[y] += d[k]
+        if size > 0:
+            # lo >= src_lo and lo <= east_lo; a list falls short only where
+            # its source has no cell (a new top cell, or a new column)
+            north = eu[lo - src_lo:hi - src_lo + 1]
+            south = ed[lo - src_lo:hi - src_lo + 1]
+            east = east_src[:hi - east_lo + 1]
+            if east_lo > lo:
+                east = [0] * (east_lo - lo) + east
+            if len(north) < size:
+                north += [0] * (size - len(north))
+            if len(south) < size:
+                south += [0] * (size - len(south))
+            if len(east) < size:
+                east += [0] * (size - len(east))
+            if mirror and n - x == 2 * hi:
+                north[-1] = south[-1]
+                on_floor += east[-1] + 2 * south[-1]
+            new.append((lo, east, north, south))
+        else:
+            new.append((lo, [], [], []))
+        if hi < floor:
+            # east steps from d > hi and the south step from d = hi leave the band
+            line_e, _u, line_d = line
+            y = n - x - 2 * max(hi + 1, east_lo)
+            for c in east_src[max(0, hi + 1 - east_lo):]:
+                line_e[y] += c
                 y -= 2
-            del e[keep:], u[keep:], d[keep:]
-    while band and not band[-1][1]:
-        band.pop()
+            if src_lo <= hi < src_lo + len(e):
+                line_d[n - x - 2 * hi - 2] += ed[hi + 1 - src_lo]
+        east_lo, east_src = src_lo, tot
+    while new and not new[-1][1]:
+        new.pop()
+    return new, total, on_floor
 
 
-def _mirror(band: list, line: tuple, n: int) -> int:
-    """The mirror floor of a model stored as its half Y >= 0; returns the
-    walks of length n that end on Y = 0.
+def _line_step(line: tuple, shift: int) -> tuple[tuple, list]:
+    """Extend every walk of a one-column model by one step, to length n.
 
-    The reflection Y -> -Y maps walks to walks and swaps north and south
-    arrivals, so the north arrivals at a Y = 0 cell, which come from the
-    unstored Y = -1, equal its south arrivals.  A band column's Y = 0 cell
-    is its top index (n - X)/2, when it is kept.
+    ``line`` is (e, u, d) over the heights h = 0..n - 1.  An east step adds
+    ``shift`` (0 or -1) to h, a north step 1 and a south step -1; a step to
+    h < 0 is dropped.  Returns the new lists, over h = 0..n, and the walks
+    of length n - 1 at each old height.
     """
-    on_floor = 0
-    for x, (lo, e, u, d) in enumerate(band):
-        if e and 2 * (lo + len(e) - 1) == n - x:
-            u[-1] = d[-1]
-            on_floor += e[-1] + 2 * d[-1]
-    _lo, e, u, d = line
-    u[0] = d[0]
-    return on_floor + e[0] + 2 * d[0]
+    e, u, d = line
+    eu = list(map(add, e, u))
+    ed = list(map(add, e, d))
+    tot = list(map(add, eu, d))
+    east = tot + [0] if shift == 0 else tot[1:] + [0, 0]
+    return (east, [0] + eu, ed[1:] + [0, 0]), tot
 
 
 def count_walks(model: WedgeModel, n_max: int) -> CountTable:
     """Exact counts of walks of every length 0..n_max.
 
-    One integer list per column and arriving step, over the column's span at
-    each length (see ``WedgeModel._geometry``).  The frontier size of the
-    full domain at n_max is known in advance, so an over-budget request is
-    refused before any work; it bounds what the DP below holds.
+    The size of the whole domain at n_max is known in advance, so an
+    over-budget request is refused before any step; it bounds what the DP
+    below holds.
 
     The two wedges keep only a band near the line Y = p*X.  The line still
     constrains a walk at index d only if the walk could step over it within
@@ -273,68 +264,61 @@ def count_walks(model: WedgeModel, n_max: int) -> CountTable:
 
         max(0, ceil((n - (p+1)*X)/2)) <= d <= min(floor((n - X)/2), near(X) - 1).
 
-    A walk that can no longer reach Y = p*X never feels that line again, so
-    the cells that leave the band join one line column indexed by Y (see
-    ``_spill``): the ``halfplane`` model for the asymmetric wedge, whose floor
-    Y = 0 is a wall, and the ``free`` model for the symmetric wedge, which can
-    no longer reach Y = -p*X either.  The symmetric wedge and ``free`` are
-    stored as their half Y >= 0 with a mirror floor (see ``_mirror``), and
-    count 2*(all stored walks) - (those on Y = 0).
+    A walk that can no longer reach Y = p*X never feels that line again.  The
+    step that builds each band column (``_wedge_step``) sends the cells that
+    leave the band, by an east step from column X - 1 or a south step from
+    d = near(X) - 1, straight into one line column indexed by Y, which steps
+    as the ``halfplane`` model for the asymmetric wedge, whose floor Y = 0 is
+    a wall, and as the ``free`` model for the symmetric wedge, which can no
+    longer reach Y = -p*X either (``_line_step``).  The symmetric wedge and
+    ``free`` are stored as their half Y >= 0 with a mirror floor: the
+    reflection Y -> -Y swaps north and south arrivals, so the north arrivals
+    at a Y = 0 cell equal its south arrivals, and the count is
+    2*(all stored walks) - (those on Y = 0).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > _MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the budget of {_MAX_N}")
-    moves, span = model._geometry()
-    states = _frontier_size(moves, span, n_max)
+    states = _frontier_size(model, n_max)
     if states > _MAX_STATES:
         raise BudgetError(f"n_max={n_max} needs {states} states, "
                           f"over the budget of {_MAX_STATES}")
     pinned = model.kind in ("quarter_endline", "boundary_flat", "boundary_diag")
     mirrored = model.kind in ("free", "symmetric")
+    shift = -1 if model.kind == "boundary_diag" else 0
 
     def pinned_count(line) -> int:
-        # walks ending at h = 0, index 0 of the one column
-        _lo, e, u, d = line[0]
+        # walks ending at h = 0
+        e, u, d = line
         if model.kind == "quarter_endline":
             return e[0] + u[0] + d[0]
         return e[0]
 
-    band, line = [], [(0, [1], [0], [0])]
-    line_moves, line_span = moves, span
+    band, line = [], ([1], [0], [0])
     if model.kind in ("symmetric", "asymmetric"):
-        p = model.p
-
-        def near(x: int) -> int:
-            return (n_max - (p + 1) * x + 1) // 2
-
-        def band_span(n: int, x: int) -> tuple[int, int]:
-            # up to near(X - 1) - 1: the cells an east or a south step
-            # carries out of the band, for _spill to move
-            return max(0, (n - x - p * x + 1) // 2), min((n - x) // 2, near(x - 1) - 1)
-
-        band, line = line, [(0, [0], [0], [0])]
-        line_moves, line_span = WedgeModel("free" if mirrored else "halfplane")._geometry()
+        band, line = [(0, [1], [0], [0])], ([0], [0], [0])
     on_floor = 1  # walks on Y = 0 at the current length (mirrored models)
     counts = []
     for n in range(1, n_max + 1):
         if pinned:
             counts.append(pinned_count(line))
-        totals = []
+        line, line_cells = _line_step(line, shift)
+        band_total = band_floor = 0
         if band:
-            band, totals = _step(band, n, moves, band_span)
-        line, line_totals = _step(line, n, line_moves, line_span)
+            band, band_total, band_floor = _wedge_step(band, n, model.p, 0, n_max, line,
+                                                       mirrored)
         if not pinned:  # the walks of length n - 1
-            total = sum(map(sum, totals)) + sum(line_totals[0])
+            total = band_total + sum(line_cells)
             counts.append(2 * total - on_floor if mirrored else total)
-        if band:
-            _spill(band, line[0], n, near)
         if mirrored:
-            on_floor = _mirror(band, line[0], n)
+            e, u, d = line
+            u[0] = d[0]
+            on_floor = band_floor + e[0] + 2 * d[0]
     if pinned:
         counts.append(pinned_count(line))
     else:
-        total = sum(sum(e) + sum(u) + sum(d) for _lo, e, u, d in band + line)
+        total = sum(sum(e) + sum(u) + sum(d) for _lo, e, u, d in band) + sum(map(sum, line))
         counts.append(2 * total - on_floor if mirrored else total)
     return CountTable(model, counts)
 
@@ -467,17 +451,23 @@ class WeightedSeries:
 
 
 def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
-    """Trivariate DP for f_p (symmetric) or h_p (asymmetric)."""
+    """Trivariate DP for f_p (symmetric) or h_p (asymmetric).
+
+    The wedge step of ``count_walks`` over the whole domain: the lower line
+    is Y = -w*X (w = p symmetric, 0 asymmetric) and there is no band.
+    """
     if kind not in ("symmetric", "asymmetric"):
         raise ValueError("weighted series exist for the symmetric and asymmetric models only")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if order > 60:
         raise BudgetError(f"weighted order {order} exceeds the budget of 60")
-    moves, span = WedgeModel(kind, p)._geometry()
-    w = p if kind == "symmetric" else 0  # the lower line is Y = -w*X
+    WedgeModel(kind, p)  # refuses p < 1
+    w = p if kind == "symmetric" else 0
     entries: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
     columns = [(0, [1], [0], [0])]
     for n in range(1, order + 1):
-        columns, _ = _step(columns, n, moves, span)
+        columns, _total, _floor = _wedge_step(columns, n, p, w, None)
         # i = p*X - Y is the distance below the upper line, j = w*X + Y above the lower
         for x, (lo, e, _u, _d) in enumerate(columns):
             for k, c in enumerate(e):
@@ -485,4 +475,3 @@ def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
                     y = n - x - 2 * (lo + k)
                     entries[(n, p * x - y, w * x + y)] = c
     return WeightedSeries(kind, p, order, entries)
-

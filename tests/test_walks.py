@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from wedgewalks import closedforms as cf
 from wedgewalks import walks
 from wedgewalks.errors import BudgetError
 from wedgewalks.series import TSeries
@@ -114,6 +115,24 @@ class TestCounts:
                 assert count_walks(WedgeModel(kind, p), n_max).counts == \
                     reference[:n_max + 1], (p, n_max)
 
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_band_equals_dict_reference_at_benchmark_sizes(self, kind):
+        # count_walks directly: the ``tables`` fixture would cut each table
+        # from one longer DP, whose band is not the one of the n_max asked
+        for p in (2, 3):
+            reference = _reference_counts(kind, p, 101)
+            for n_max in (99, 100, 101):
+                assert count_walks(WedgeModel(kind, p), n_max).counts == \
+                    reference[:n_max + 1], (p, n_max)
+
+    @pytest.mark.parametrize("kind,closed_form", [("symmetric", cf.gf_sym_g1),
+                                                  ("asymmetric", cf.gf_asym_k1)])
+    def test_band_equals_closed_form_at_benchmark_sizes(self, kind, closed_form):
+        series = closed_form(141)
+        for n_max in (139, 140, 141):
+            assert count_walks(WedgeModel(kind, 1), n_max).counts == \
+                series.coeffs_upto(n_max), n_max
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_shorter_tables_are_prefixes(self, kind):
         # the ``tables`` fixture serves every shorter table from a longer one
@@ -126,7 +145,14 @@ class TestCounts:
         def no_step(*_args):
             raise AssertionError("the DP started")
 
-        monkeypatch.setattr(walks, "_step", no_step)
+        # each wedge length takes a line step and a wedge step: the guard
+        # below is empty unless patching either one stops a small DP
+        for step in ("_wedge_step", "_line_step"):
+            with monkeypatch.context() as patch:
+                patch.setattr(walks, step, no_step)
+                with pytest.raises(AssertionError, match="the DP started"):
+                    count_walks(WedgeModel("symmetric", 1), 3)
+            monkeypatch.setattr(walks, step, no_step)
         with pytest.raises(BudgetError, match="states"):
             count_walks(WedgeModel("symmetric", 1), 4800)
         with pytest.raises(BudgetError, match="states"):
@@ -227,6 +253,16 @@ class TestWeighted:
     def test_budget(self):
         with pytest.raises(BudgetError):
             weighted_gf("symmetric", 1, 61)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_negative_order_is_refused(self, kind):
+        with pytest.raises(ValueError, match="order"):
+            weighted_gf(kind, 1, -1)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_slope_below_one_is_refused(self, kind):
+        with pytest.raises(ValueError, match="slope"):
+            weighted_gf(kind, 0, 5)
 
     @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
     def test_entries_equal_dict_reference(self, kind):
