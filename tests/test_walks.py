@@ -250,6 +250,15 @@ class TestWeighted:
         assert payload["model"] == "asymmetric"
         assert [0, 0, 0, "1"] in payload["entries"]
 
+    @pytest.mark.parametrize("kind,p", _slopes(["symmetric", "asymmetric"]))
+    def test_json_bytes_equal_json_dumps(self, kind, p):
+        for order in (0, 1, 7, 30):
+            w = weighted_gf(kind, p, order)
+            triples = sorted([n, i, j, str(c)] for (n, i, j), c in w.entries.items())
+            assert w.to_json() == json.dumps(
+                {"schema": 1, "model": kind, "p": p, "order": order, "entries": triples},
+                sort_keys=True)
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             weighted_gf("symmetric", 1, 61)
