@@ -49,11 +49,6 @@ def printed_q_asym(order: int) -> TSeries:
             * Fraction(1, 2)).truncate(order)
 
 
-def printed_p_asym(order: int) -> TSeries:
-    """Same closed form as printed_q_sym; the asymmetric solution reuses it."""
-    return printed_q_sym(order)
-
-
 def alternating_theta(q: TSeries, order: int) -> TSeries:
     """sum((-1)^n t^(n^2) q^n); term n has valuation n^2 + n*val(q).
 
@@ -170,8 +165,8 @@ def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSerie
     p1 = ((tpoly({0: 1, 1: -2, 2: 1}, w) - _sym_radical(w)) * pole
           * Fraction(1, 2))
     p2 = pref * ratio_theta(q, w)
-    p = printed_p_asym(w)
-    p3 = one_m_t2 * pole * ratio_theta(p, w)
+    # P(1) has the printed closed form of the symmetric Q(1)
+    p3 = one_m_t2 * pole * ratio_theta(printed_q_sym(w), w)
     middle = ((pref * term).truncate(order) for term in _ratio_theta_terms(q, w))
     return p1.truncate(order), p2.truncate(order), p3.truncate(order), middle
 

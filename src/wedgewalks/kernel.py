@@ -13,6 +13,12 @@ The kernel form of the column-construction equation is
 where f(a, t*a) re-weights walks whose endpoint sits on the lower boundary
 line and f(t*b, b) those on the upper one.
 
+The paper solves its recurrences by iterated compositions of the kernel
+roots.  ``_chain`` builds them once per call: a, beta(a), beta(beta(a)), ...
+(symmetric) or a, beta(a), gamma_1(a), beta(gamma_1(a)), ... (asymmetric).
+Composed forms read only that chain and closed forms only beta_1(a) or Q(a),
+so each "closed = composed" identity compares two independent computations.
+
 The identity helpers (``group_law_check``, ``mixed_inverse_check``,
 ``script_coeffs``, the ``residual_*`` functions) return only the series to
 compare or the residuals that must vanish; ``suites`` turns them into
@@ -22,7 +28,8 @@ verdicts.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from itertools import cycle, islice
+from typing import Iterator, NamedTuple, Union
 
 from .series import TSeries
 
@@ -133,23 +140,23 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
 
     ``which`` is one of ``beta-``, ``beta+`` (roots in the second slot) and,
     for the asymmetric model, ``alpha-``, ``alpha+`` (roots in the first
-    slot).  The ``-`` branches are the formal-power-series ones with leading
-    term t*arg; the ``+`` branches are their Laurent inverses with valuation
-    val(arg) - 1.
+    slot); any other model or branch raises ValueError.  The ``-`` branches
+    are the formal-power-series ones with leading term t*arg; the ``+``
+    branches are their Laurent inverses with valuation val(arg) - 1.
     """
     w = order + 6
     s = as_series(arg, w)
     if s.is_zero():
         raise ValueError("root argument must be nonzero")
-    if which.startswith("alpha") and kind != "asymmetric":
-        raise ValueError("alpha roots exist for the asymmetric model only")
     sign = -1 if which.endswith("-") else +1
-    if kind == "symmetric":
+    if kind == "symmetric" and which in ("beta-", "beta+"):
         res = _root_quadratic(s, s * s, sign, w)
-    elif which.startswith("beta"):
+    elif kind == "asymmetric" and which in ("beta-", "beta+"):
         res = _root_asym_b(s, sign, w)
-    else:
+    elif kind == "asymmetric" and which in ("alpha-", "alpha+"):
         res = _root_quadratic(s, s, sign, w)
+    else:
+        raise ValueError(f"no {which!r} root for model {kind!r}")
     if s.valuation is not None and s.valuation >= 0:
         want = s.valuation + (1 if sign < 0 else -1)
         if res.valuation != want:
@@ -167,81 +174,83 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
 
 # -- iterated compositions ---------------------------------------------------
 
-def _beta_closed_inverse(n: int, a: Arg, order: int) -> TSeries:
-    """1/beta_n(a) for the symmetric model, any integer n (three-term solution)."""
-    w = order + 2 * abs(n) + 10
+def _chain(kind: str, a: Arg, w: int) -> Iterator[TSeries]:
+    """The root chain of ``a`` at working order w, each element built once.
+
+    Symmetric: a, beta(a), beta(beta(a)), ... = beta_0(a), beta_1(a), ...
+    Asymmetric: a, beta(a), gamma_1(a), beta(gamma_1(a)), gamma_2(a), ...,
+    applying the beta- and alpha- roots in turn, so gamma_n(a) is element 2n.
+    """
+    cur = as_series(a, w)
+    for which in cycle(("beta-",) if kind == "symmetric" else ("beta-", "alpha-")):
+        yield cur
+        cur = root(kind, which, cur, cur.order)
+
+
+def _beta_closed_inverse(n: int, a: Arg, b1: TSeries) -> TSeries:
+    """1/beta_n(a) for the symmetric model, any integer n (three-term
+    solution), from b1 = beta_1(a); reliable to b1.order - |n| - 1."""
+    w = b1.order
     one_m_t2 = TSeries.from_dict({0: 1, 2: -1}, w)
     c1 = (TSeries.t_power(1 - n, w) - TSeries.t_power(1 + n, w)) / one_m_t2
     c2 = (TSeries.t_power(2 - n, w) - TSeries.t_power(n, w)) / one_m_t2
-    b1 = root("symmetric", "beta-", as_series(a, w), w)
-    inv = c1 * b1.inverse() - c2 * as_series(a, w).inverse()
-    return inv
+    return c1 * b1.inverse() - c2 * as_series(a, w).inverse()
 
 
 def beta_closed(n: int, a: Arg, order: int) -> TSeries:
     if n == 0:
         return as_series(a, order)
-    return _beta_closed_inverse(n, a, order + 2 * abs(n) + 4).inverse().truncate(order)
+    # beta_-1 comes out 4 orders short of beta_1, the most of any beta_n
+    b1 = root("symmetric", "beta-", a, order + 4)
+    return _beta_closed_inverse(n, a, b1).inverse().truncate(order)
 
 
 def beta_composed(n: int, a: Arg, order: int) -> TSeries:
     """beta_n by n-fold composition of the degree-one root maps.
 
-    Positive n applies the series branch repeatedly.  Negative n walks the
+    Positive n reads element n of the root chain.  Negative n walks the
     kernel quadratic downward: the two roots of K(beta_m, .) are exactly
     beta_{m-1} and beta_{m+1}, so beta_{m-1} = C(beta_m) / (A(beta_m) *
     beta_{m+1}); this stays inside rational series where the explicit
     plus-branch formula would need square roots that leave the field.
     """
     w = order + 2 * abs(n) + 10
-    cur = as_series(a, w)
+    chain = _chain("symmetric", a, w)
     if n >= 0:
-        for _ in range(n):
-            cur = root("symmetric", "beta-", cur, cur.order)
-        return cur.truncate(order)
+        return next(islice(chain, n, None)).truncate(order)
     t = tvar(w)
-    upper = root("symmetric", "beta-", cur, w)  # beta_{m+1} with m = 0
+    cur, upper = next(chain), next(chain)  # beta_m and beta_{m+1} with m = 0
     for _ in range(-n):
         qa, _qb, qc = _quad_sym(cur, t)
-        lower = qc / (qa * upper)
-        upper, cur = cur, lower
+        upper, cur = cur, qc / (qa * upper)
     return cur.truncate(order)
 
 
 def gamma_composed(n: int, a: Arg, order: int) -> TSeries:
-    w = order + 4 * n + 12
-    cur = as_series(a, w)
-    for _ in range(n):
-        cur = root("asymmetric", "alpha-",
-                   root("asymmetric", "beta-", cur, cur.order), cur.order)
-    return cur.truncate(order)
+    chain = _chain("asymmetric", a, order + 4 * n + 12)
+    return next(islice(chain, 2 * n, None)).truncate(order)
 
 
-def gamma_closed_inverse(n: int, a: Arg, order: int) -> TSeries:
-    """1/gamma_n(a), asymmetric model."""
-    w = order + 4 * n + 12
-    t = tvar(w)
-    q = q_asym(a, w)
+def gamma_closed_inverse(n: int, q: TSeries) -> TSeries:
+    """1/gamma_n(a), asymmetric model, from q = Q(a)."""
+    t = tvar(q.order)
     num = (t + q.shift(2 * n - 2)) * (t + q.shift(2 * n))
-    den = (1 - t * t) * q.shift(2 * n - 2)
-    return (num / den).truncate(order)
+    return num / ((1 - t * t) * q.shift(2 * n - 2))
 
 
-def beta_of_gamma_closed_inverse(n: int, a: Arg, order: int) -> TSeries:
-    """1/beta_1(gamma_n(a)), asymmetric model."""
-    w = order + 4 * n + 12
-    t = tvar(w)
-    q = q_asym(a, w)
-    num = (t + q.shift(2 * n)) ** 2
-    den = (1 - t * t) * q.shift(2 * n - 1)
-    return (num / den).truncate(order)
+def beta_of_gamma_closed_inverse(n: int, q: TSeries) -> TSeries:
+    """1/beta_1(gamma_n(a)), asymmetric model, from q = Q(a)."""
+    t = tvar(q.order)
+    return (t + q.shift(2 * n)) ** 2 / ((1 - t * t) * q.shift(2 * n - 1))
 
 
 def gamma_closed(n: int, a: Arg, order: int) -> TSeries:
     """gamma_n(a) from its closed-form reciprocal, asymmetric model."""
     if n < 0:
         raise ValueError("gamma compositions are defined for n >= 0")
-    return gamma_closed_inverse(n, a, order + 4 * n + 8).inverse().truncate(order)
+    # 1/gamma_n(a) comes out 2n + 4 orders short of Q(a)
+    q = q_asym(a, order + 2 * n + 4)
+    return gamma_closed_inverse(n, q).inverse().truncate(order)
 
 
 def group_law_check(n: int, a: Arg, order: int) -> list[tuple[str, tuple[TSeries, ...]]]:
@@ -256,33 +265,33 @@ def group_law_check(n: int, a: Arg, order: int) -> list[tuple[str, tuple[TSeries
         (the computable form of beta_1(beta_{-1}(a)) = a), as the residuals
         of their sum and product;
       * the three-term reciprocal recurrence at index n.
+    All of them read the one beta_1(a) built here.
     """
     m_hi = abs(n)
     w = order + 2 * m_hi + 12
     t = tvar(w)
     checks = []
 
-    ladder = {m: beta_closed(m, a, w) for m in range(-m_hi, m_hi + 1)}
+    b1 = root("symmetric", "beta-", a, w + 4)  # see beta_closed
+    inv = {m: _beta_closed_inverse(m, a, b1)
+           for m in range(min(-m_hi, -2, n - 2), m_hi + 1)}
+    ladder = {m: inv[m].inverse().truncate(w) for m in range(min(-m_hi, -2), m_hi + 1)}
     for m in range(-m_hi, m_hi):
         k = kernel_coeffs("symmetric", 1, ladder[m], ladder[m + 1], w).kernel
         checks.append((f"K(beta_{m}, beta_{m+1}) = 0", (k,)))
 
-    b1 = root("symmetric", "beta-", as_series(a, w), w)
     back = root("symmetric", "beta+", b1, b1.order)
     checks.append(("beta_-1(beta_1(a)) = a", (back - as_series(a, back.order),)))
 
     if m_hi >= 1:
-        bm2 = beta_closed(-2, a, w)
         qa, qb, qc = _quad_sym(ladder[-1], t)
-        sum_res = qb + qa * (as_series(a, w) + bm2)
-        prod_res = qc - qa * as_series(a, w) * bm2
+        sum_res = qb + qa * (as_series(a, w) + ladder[-2])
+        prod_res = qc - qa * as_series(a, w) * ladder[-2]
         checks.append(("roots of K(beta_-1, .) are {a, beta_-2}", (sum_res, prod_res)))
 
     if m_hi >= 2:
-        lhs = _beta_closed_inverse(n, a, w)
-        rhs = ((1 + t * t) / t) * _beta_closed_inverse(n - 1, a, w) \
-            - _beta_closed_inverse(n - 2, a, w)
-        checks.append((f"three-term recurrence at n={n}", (lhs - rhs,)))
+        rhs = ((1 + t * t) / t) * inv[n - 1] - inv[n - 2]
+        checks.append((f"three-term recurrence at n={n}", (inv[n] - rhs,)))
     return checks
 
 
@@ -299,34 +308,29 @@ def mixed_inverse_check(a: Arg, b: Arg, order: int) -> tuple[TSeries, TSeries]:
 
 # -- the Q / Qbar / P series -------------------------------------------------
 
+def _q_inputs(kind: str, a: Arg, order: int) -> tuple[TSeries, TSeries, TSeries]:
+    """(t, a, beta_1(a)) at the working order of a Q series to ``order``."""
+    w = order + 8
+    s = as_series(a, w)
+    return tvar(w), s, root(kind, "beta-", s, w)
+
+
 def q_sym(a: Arg, order: int) -> TSeries:
     """Q(a) = 1/(x a^2) - y/(x a beta_1(a)) - y for the symmetric model."""
-    w = order + 8
-    t = tvar(w)
-    s = as_series(a, w)
-    b1 = root("symmetric", "beta-", s, w)
-    res = (t * s * s).inverse() - (s * b1).inverse() - t
-    return res.truncate(order)
+    t, s, b1 = _q_inputs("symmetric", a, order)
+    return ((t * s * s).inverse() - (s * b1).inverse() - t).truncate(order)
 
 
 def q_asym(a: Arg, order: int) -> TSeries:
     """Q(a) = 1/a - y/beta_1(a) - x for the asymmetric model."""
-    w = order + 8
-    t = tvar(w)
-    s = as_series(a, w)
-    b1 = root("asymmetric", "beta-", s, w)
-    res = s.inverse() - t * b1.inverse() - t
-    return res.truncate(order)
+    t, s, b1 = _q_inputs("asymmetric", a, order)
+    return (s.inverse() - t * b1.inverse() - t).truncate(order)
 
 
 def qbar_asym(a: Arg, order: int) -> TSeries:
     """Qbar(a) = 1/beta_1(a) - y/a - x*y; satisfies Qbar*Q = t^3."""
-    w = order + 8
-    t = tvar(w)
-    s = as_series(a, w)
-    b1 = root("asymmetric", "beta-", s, w)
-    res = b1.inverse() - t * s.inverse() - t * t
-    return res.truncate(order)
+    t, s, b1 = _q_inputs("asymmetric", a, order)
+    return (b1.inverse() - t * s.inverse() - t * t).truncate(order)
 
 
 def p_asym(b: Arg, order: int) -> TSeries:
@@ -335,13 +339,13 @@ def p_asym(b: Arg, order: int) -> TSeries:
     Computed as Q(alpha_1(b)) / (x*y); the division by t^2 is the
     normalization under which P enters the final walk generating function
     (at b = 1 it reproduces (1 - 3t^2 - sqrt((1-t^2)(1-5t^2))) / (2t)).
-    The undivided composition itself is available as
-    ``q_asym(root('asymmetric', 'alpha-', b, N), N)``.
+    The undivided composition itself is ``q_asym(s, s.order - 2)`` with
+    ``s = root('asymmetric', 'alpha-', b, N)``: Q(s) is reliable only to two
+    orders below s, through its 1/s term.
     """
     w = order + 10
     s = root("asymmetric", "alpha-", as_series(b, w), w)
-    # s = b*t + ... may come back short of w (at b = -1 by one order), and
-    # Q(s) is reliable two orders below s, through its 1/s term
+    # s = b*t + ... may come back short of w (at b = -1 by one order)
     return q_asym(s, s.order - 2).shift(-2).truncate(order)
 
 
@@ -385,18 +389,14 @@ def residual_kernel_form(kind: str, p: int, a, b, order: int, w) -> TSeries:
 
 # -- the script coefficient ladder (asymmetric solution) ----------------------
 
-def _raw_quotients(n: int, a: Arg, w: int) -> tuple[TSeries, ...]:
-    """(g_n, g_n+1, beta(g_n), X_n, Y_n, Z_n, A_n) at working order w.
-
-    g_n is the n-fold gamma composition of a; X_n .. A_n are the raw
-    quotients of (X, Y, Z) at the composed roots.
-    """
-    g_n = gamma_composed(n, a, w)
-    g_n1 = gamma_composed(n + 1, a, w)
-    bg = root("asymmetric", "beta-", g_n, w)
+def _raw_quotients(g_n: TSeries, bg: TSeries, g_n1: TSeries,
+                   w: int) -> tuple[TSeries, ...]:
+    """The raw quotients (X_n, Y_n, Z_n, A_n) of (X, Y, Z) at the composed
+    roots g_n, beta(g_n) and g_n+1 (chain elements 2n .. 2n+2), at working
+    order w."""
     c1 = kernel_coeffs("asymmetric", 1, g_n, bg, w)
     c2 = kernel_coeffs("asymmetric", 1, g_n1, bg, w)
-    return (g_n, g_n1, bg, -(c1.free_term / c1.lower), c1.upper / c1.lower,
+    return (-(c1.free_term / c1.lower), c1.upper / c1.lower,
             c2.free_term / c2.upper, c2.lower / c2.upper)
 
 
@@ -411,7 +411,8 @@ def script_coeffs(n: int, a: Arg, order: int) -> list[tuple[str, TSeries, TSerie
     """
     w = order + 4 * (n + 1) + 16
     t = tvar(w)
-    g_n, g_n1, bg, x_n, y_n, z_n, a_n = _raw_quotients(n, a, w)
+    g_n, bg, g_n1 = islice(_chain("asymmetric", a, w), 2 * n, 2 * n + 3)
+    x_n, y_n, z_n, a_n = _raw_quotients(g_n, bg, g_n1, w)
     b_n = x_n + y_n * z_n
     c_n = y_n * a_n
 
@@ -427,9 +428,9 @@ def script_coeffs(n: int, a: Arg, order: int) -> list[tuple[str, TSeries, TSerie
     b_simpl = (t + qn2) * (t - qn) / (t * t)
     c_simpl = (g_n1 / g_n) * q * q * TSeries.t_power(4 * n - 2, w)
 
-    inv_g = gamma_closed_inverse(n, a, w)
-    inv_bg = beta_of_gamma_closed_inverse(n, a, w)
-    inv_g1 = gamma_closed_inverse(n + 1, a, w)
+    inv_g = gamma_closed_inverse(n, q)
+    inv_bg = beta_of_gamma_closed_inverse(n, q)
+    inv_g1 = gamma_closed_inverse(n + 1, q)
     useful = [
         ("1/g_n - t/b(g_n) = t + t^2n Q", inv_g - t * inv_bg, t + qn),
         ("1/b(g_n) - t/g_n = t(t + t^2n Q)/(t^(2n-1) Q)",
@@ -468,19 +469,17 @@ def raw_iterated_sum(a: Arg, order: int) -> TSeries:
     truncates by valuation.
     """
     w = order + 8
-    t = tvar(w)
     acc = TSeries.zero(w)
     prod = TSeries.constant(1, w)
-    n = 0
-    while True:
-        *_, x_n, y_n, z_n, a_n = _raw_quotients(n, a, w)
+    chain = _chain("asymmetric", a, w)
+    g_n = next(chain)
+    for n, (bg, g_n1) in enumerate(zip(chain, chain)):
+        x_n, y_n, z_n, a_n = _raw_quotients(g_n, bg, g_n1, w)
         term = prod * (x_n + y_n * z_n)
         acc = acc + term
         val = term.valuation
-        if val is not None and val > order and n > 0:
+        if (val is not None and val > order and n > 0) or 2 * (n + 1) ** 2 > order + 4:
             break
         prod = prod * (y_n * a_n)
-        n += 1
-        if 2 * n * n > order + 4:
-            break
+        g_n = g_n1
     return acc.truncate(order)

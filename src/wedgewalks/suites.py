@@ -202,7 +202,7 @@ def suite_kernel(order: int = 40) -> list[Verdict]:
     out.append(_verdict("kernel", "Q_asym(1) printed form", order,
                         kernel.q_asym(1, order) - cf.printed_q_asym(order)))
     out.append(_verdict("kernel", "P(1) printed form", order,
-                        kernel.p_asym(1, order) - cf.printed_p_asym(order)))
+                        kernel.p_asym(1, order) - cf.printed_q_sym(order)))
 
     # script coefficient ladder: one verdict per depth over its 15 identities
     a = Fraction(1, 2)

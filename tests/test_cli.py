@@ -432,6 +432,10 @@ PINNED = {
     "asympt --const p-pieces --nmax 50": "f4af854d842820de",
     "asympt --const roots --kmax 3": "925c0c423e24a7fd",
     "asympt --const A1A2 --nmax 120": "0e7457ada4d08513",
+    "verify --suite kernel --order 10": "8048ff54ebcb8ada",
+    "verify --suite closedform --order 24": "142e9e26d01c31f1",
+    "series --kind H_aya_simplified --a 2/3 --order 19 --format json": "2d1d2a530d405895",
+    "series --kind theta_asym_p --a -1 --order 12 --format json": "a140b8ce71e0e307",
 }
 
 

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from wedgewalks import kernel
-from wedgewalks.closedforms import printed_p_asym, printed_q_asym, printed_q_sym
+from wedgewalks.closedforms import printed_q_asym, printed_q_sym
 from wedgewalks.series import TSeries, tpoly
 from wedgewalks.walks import weighted_gf
 
@@ -83,6 +83,35 @@ class TestRoots:
     def test_alpha_requires_asymmetric(self):
         with pytest.raises(ValueError):
             kernel.root("symmetric", "alpha-", 1, 10)
+
+    @pytest.mark.parametrize("kind,which", [("free", "beta-"), ("symmetric", "gamma-"),
+                                            ("asymmetric", "beta")])
+    def test_unknown_model_or_branch_is_refused(self, kind, which):
+        with pytest.raises(ValueError, match=f"no '{which}' root for model '{kind}'"):
+            kernel.root(kind, which, 1, 4)
+
+
+class TestEachRootBuiltOnce:
+    """One call composes each root-chain element once and builds beta_1(a)
+    and Q(a) once."""
+
+    @pytest.mark.parametrize("fn,args,roots,q_calls", [
+        # depths n = 0..3 read chain elements 0..8 (gamma_0 .. gamma_4)
+        ("raw_iterated_sum", (1, 24), 8, 0),
+        # chain elements 1..6 up to gamma_3, and the beta_1(a) inside Q(a)
+        ("script_coeffs", (2, Fraction(1, 2), 10), 6 + 1, 1),
+        # beta_1(a) for every closed form, and beta_-1(beta_1(a))
+        ("group_law_check", (5, Fraction(2, 3), 10), 2, 0),
+    ], ids=["raw_iterated_sum", "script_coeffs", "group_law_check"])
+    def test_call_counts(self, monkeypatch, fn, args, roots, q_calls):
+        calls = {"root": 0, "q_asym": 0}
+        for name, original in [(name, getattr(kernel, name)) for name in calls]:
+            def counted(*a, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*a)
+            monkeypatch.setattr(kernel, name, counted)
+        getattr(kernel, fn)(*args)
+        assert calls == {"root": roots, "q_asym": q_calls}
 
 
 def _beta(n, a, order):
@@ -185,7 +214,7 @@ class TestQSeries:
     def test_printed_specializations(self):
         assert kernel.q_sym(1, 30).same(printed_q_sym(30))
         assert kernel.q_asym(1, 30).same(printed_q_asym(30))
-        assert kernel.p_asym(1, 30).same(printed_p_asym(30))
+        assert kernel.p_asym(1, 30).same(printed_q_sym(30))
 
     @pytest.mark.parametrize("order", [0, 1, 5, 30])
     def test_p_asym_where_the_root_comes_back_short(self, order):
