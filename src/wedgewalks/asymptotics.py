@@ -458,6 +458,10 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
 
 # -- root audit ---------------------------------------------------------------
 
+#: significant digits of every printed root and root modulus
+_ROOT_DIGITS = 17
+
+
 class AuditError(RuntimeError):
     """The audit found an undocumented zero in |t| < 1/2, or could not decide."""
 
@@ -546,31 +550,93 @@ def _aberth(desc: list[int]) -> list[complex]:
     return z
 
 
+def _polish_places(digits: int) -> int:
+    """Decimal places the roots are polished to: ten beyond the printed
+    ``_ROOT_DIGITS`` or the requested digits, whichever is more."""
+    return max(digits, _ROOT_DIGITS) + 10
+
+
+def _abs2_at(coeffs: dict[int, int], x) -> tuple[int, int]:
+    """|f(x)|^2 = num / 2^shift exactly, as (num, shift), for an integer
+    polynomial f (exponent -> coefficient) at a point x whose parts are
+    mpf, hence dyadic: with x = z / 2^s for a Gaussian integer z,
+    2^(s deg) f(x) is the Gaussian integer sum of c_e z^e 2^(s (deg - e))
+    over the terms, each z^e raised from the one before."""
+    parts = []
+    for part in (x.real, x.imag):
+        sign, man, exp, _ = part._mpf_  # the sign is held apart from man
+        parts.append((-man if sign else man, exp))
+    s = -min(0, *(exp for _, exp in parts))
+    a, b = (man << (exp + s) for man, exp in parts)
+    deg = max(coeffs)
+    fr = fi = 0
+    pr, pi, e = 1, 0, 0  # z^e
+    for j in sorted(coeffs):
+        qr, qi, ar, ai, n = 1, 0, a, b, j - e  # z^n by squaring, into q
+        while n:
+            if n & 1:
+                qr, qi = qr * ar - qi * ai, qr * ai + qi * ar
+            n >>= 1
+            if n:
+                ar, ai = ar * ar - ai * ai, 2 * ar * ai
+        pr, pi, e = pr * qr - pi * qi, pr * qi + pi * qr, j
+        fr += (coeffs[j] * pr) << (s * (deg - j))
+        fi += (coeffs[j] * pi) << (s * (deg - j))
+    return fr * fr + fi * fi, 2 * s * deg
+
+
+def _newton(lifted: list[int], bits: int, stop: int, x: int, y: int) -> tuple[int, int]:
+    """Newton on the fixed-point root (x + iy)/2^bits of the polynomial with
+    descending coefficients c = lifted / 2^bits, in Gaussian integers, until
+    |step|^2 stop < 1 (at most 60 steps); returns the polished (x, y)."""
+    for _ in range(60):
+        pr = pi = dr = di = 0
+        for c in lifted:
+            dr, di = ((dr * x - di * y) >> bits) + pr, ((dr * y + di * x) >> bits) + pi
+            pr, pi = ((pr * x - pi * y) >> bits) + c, (pr * y + pi * x) >> bits
+        den = dr * dr + di * di
+        if not den:
+            break
+        sr = ((pr * dr + pi * di) << bits) // den
+        si = ((pi * dr - pr * di) << bits) // den
+        x, y = x - sr, y - si
+        if (sr * sr + si * si) * stop < 1 << (2 * bits):
+            break
+    return x, y
+
+
 def _poly_roots(coeffs: dict[int, int], digits: int):
-    """Aberth seeds polished by mpmath Newton; every returned root satisfies
-    the polynomial to working precision, and each real or imaginary part
-    below the polish tolerance is exactly 0."""
+    """All zeros of an integer polynomial (exponent -> coefficient), sorted
+    by the 20-digit strings of their modulus, then of their argument.
+
+    The Aberth seeds are Newton-polished on fixed-point Gaussian integers
+    (:func:`_newton`): a root is (X + iY)/2^B with B the mpmath precision at
+    ``_polish_places(digits)``, and the polish stops once |step| <
+    10^-(max(digits, 17) + 5), tested exactly.  Each root then becomes an
+    mpc, with every real or imaginary part below 10^-(digits + 5) exactly 0,
+    and must satisfy |f(x)| <= max|c| 10^-digits, also tested exactly
+    (:func:`_abs2_at`); a root that misses it raises AuditError.
+    """
     deg = max(coeffs)
     desc = [coeffs.get(deg - i, 0) for i in range(deg + 1)]
-    with mpmath.workdps(digits + 10):
+    places = _polish_places(digits)
+    bits = mpmath.libmp.dps_to_prec(places)
+    lifted = [c << bits for c in desc]
+    stop = 10 ** (2 * (places - 5))
+    bound = max(abs(c) for c in desc) ** 2  # on |f(x)|^2 10^(2 digits)
+    with mpmath.workdps(places):
         tol = mpmath.mpf(10) ** (-(digits + 5))
-        poly = [mpmath.mpf(c) for c in desc]
         polished = []
         for r in _aberth(desc):
-            x = mpmath.mpc(r)
-            for _ in range(60):
-                p, dp = mpmath.polyval(poly, x, derivative=True)
-                if dp == 0:
-                    break
-                step = p / dp
-                x -= step
-                if abs(step) < tol:
-                    break
-            polished.append(mpmath.mpc(mpmath.chop(x, tol)))
-        scale = max(abs(c) for c in poly)
-        residual = max(abs(mpmath.polyval(poly, x)) for x in polished)
-        if residual > scale * mpmath.mpf(10) ** (-digits):
-            raise AuditError(f"root polish left residual {mpmath.nstr(residual, 3)}")
+            x, y = _newton(lifted, bits, stop, round(math.ldexp(r.real, bits)),
+                           round(math.ldexp(r.imag, bits)))
+            z = mpmath.mpc(mpmath.chop(mpmath.mpc(mpmath.mpf((x, -bits)),
+                                                  mpmath.mpf((y, -bits))), tol))
+            num, shift = _abs2_at(coeffs, z)
+            if num * 10 ** (2 * digits) > bound << shift:
+                residual = mpmath.sqrt(mpmath.ldexp(num, -shift))
+                raise AuditError(f"root polish left residual {mpmath.nstr(residual, 3)}")
+            polished.append(z)
         return sorted(polished, key=lambda z: (mpmath.nstr(abs(z), 20),
                                                mpmath.nstr(mpmath.arg(z), 20)))
 
@@ -582,13 +648,15 @@ def root_audit(k_max: int = 20, digits: int = 30) -> RootAudit:
     modulus < 1/2, except the documented modulus sqrt(2)-1 point of the
     P family at k = 0, which belongs to the other branch (the principal
     branch of P does not reach -1 there) and is flagged, not failed.
-    The count inside is exact (:func:`_zeros_in_half_disk`); the printed
-    roots, polished to ``digits`` + 10 places, must have as many inside.
+    The count inside is exact (:func:`_zeros_in_half_disk`); the roots,
+    polished in integer fixed point to ``_polish_places(digits)`` places and
+    printed to ``_ROOT_DIGITS`` digits, must have as many inside, and each
+    must pass the exact residual bound of :func:`_poly_roots`.
     """
     if k_max > 30:
         raise BudgetError("k_max beyond 30 exceeds the audit budget")
     audit = RootAudit((-1, k_max), digits)
-    with mpmath.workdps(digits + 10):
+    with mpmath.workdps(_polish_places(digits)):
         tau = mpmath.sqrt(2) - 1
         half = mpmath.mpf(1) / 2
         eps = mpmath.mpf(10) ** (-digits // 2)
@@ -598,9 +666,9 @@ def root_audit(k_max: int = 20, digits: int = 30) -> RootAudit:
                 coeffs = _family_poly(family, k)
                 try:
                     count = _zeros_in_half_disk(coeffs)
+                    roots = _poly_roots(coeffs, digits)
                 except AuditError as exc:
                     raise AuditError(f"{label}: {exc}") from None
-                roots = _poly_roots(coeffs, digits)
                 inside = [r for r in roots if abs(r) < half]
                 if len(inside) != count:
                     raise AuditError(f"{label}: {len(inside)} polished roots in "
@@ -609,12 +677,12 @@ def root_audit(k_max: int = 20, digits: int = 30) -> RootAudit:
                 for r in inside:
                     if not (family == "P" and k == 0 and abs(abs(r) - tau) < eps):
                         raise AuditError(f"{label}: undocumented zero inside "
-                                         f"|t| < 1/2: {mpmath.nstr(r, 17)}")
+                                         f"|t| < 1/2: {mpmath.nstr(r, _ROOT_DIGITS)}")
                     # principal branch stays clear: at this point the other
                     # branch of P equals -1
                     flagged.append({
-                        "root": mpmath.nstr(r, 17),
-                        "modulus": mpmath.nstr(abs(r), 17),
+                        "root": mpmath.nstr(r, _ROOT_DIGITS),
+                        "modulus": mpmath.nstr(abs(r), _ROOT_DIGITS),
                         "reason": "other-branch",
                         "principal_branch_value_plus_1":
                             mpmath.nstr(abs(1 + _q_at(r)), 5),
@@ -624,7 +692,7 @@ def root_audit(k_max: int = 20, digits: int = 30) -> RootAudit:
                     "k": k,
                     "degree": max(coeffs),
                     "min_modulus": mpmath.nstr(min(abs(r) for r in roots), 15),
-                    "roots": [mpmath.nstr(r, 17) for r in roots],
+                    "roots": [mpmath.nstr(r, _ROOT_DIGITS) for r in roots],
                     "flagged": flagged,
                 })
     return audit

@@ -14,8 +14,9 @@ where f(a, t*a) re-weights walks whose endpoint sits on the lower boundary
 line and f(t*b, b) those on the upper one.
 
 The paper solves its recurrences by iterated compositions of the kernel
-roots.  ``_chain`` builds them once per call: a, beta(a), beta(beta(a)), ...
-(symmetric) or a, beta(a), gamma_1(a), beta(gamma_1(a)), ... (asymmetric).
+roots.  A ``Chain`` builds them once: a, beta(a), beta(beta(a)), ...
+(symmetric) or a, beta(a), gamma_1(a), beta(gamma_1(a)), ... (asymmetric);
+a caller that composes several n passes one chain to each composed form.
 Composed forms read only that chain and closed forms only beta_1(a) or Q(a),
 so each "closed = composed" identity compares two independent computations.
 
@@ -28,8 +29,8 @@ verdicts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import cycle, islice
-from typing import Iterator, NamedTuple, Union
+from itertools import count, cycle
+from typing import NamedTuple, Union
 
 from .series import TSeries
 
@@ -174,17 +175,48 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
 
 # -- iterated compositions ---------------------------------------------------
 
-def _chain(kind: str, a: Arg, w: int) -> Iterator[TSeries]:
-    """The root chain of ``a`` at working order w, each element built once.
+class Chain:
+    """The root chain of ``a`` at working order w, each element built once,
+    when first read.
 
     Symmetric: a, beta(a), beta(beta(a)), ... = beta_0(a), beta_1(a), ...
     Asymmetric: a, beta(a), gamma_1(a), beta(gamma_1(a)), gamma_2(a), ...,
     applying the beta- and alpha- roots in turn, so gamma_n(a) is element 2n.
     """
-    cur = as_series(a, w)
-    for which in cycle(("beta-",) if kind == "symmetric" else ("beta-", "alpha-")):
-        yield cur
-        cur = root(kind, which, cur, cur.order)
+
+    def __init__(self, kind: str, a: Arg, w: int):
+        self.kind, self.order = kind, w
+        self._steps = cycle(("beta-",) if kind == "symmetric" else ("beta-", "alpha-"))
+        self._built = [as_series(a, w)]
+
+    def __getitem__(self, k: int) -> TSeries:
+        while len(self._built) <= k:
+            cur = self._built[-1]
+            self._built.append(root(self.kind, next(self._steps), cur, cur.order))
+        return self._built[k]
+
+
+def _chain_for(kind: str, a: Arg | Chain, w: int) -> Chain:
+    """A new ``kind`` chain of a at working order w, or a itself if it is
+    one built to at least w (any other chain raises ValueError)."""
+    if not isinstance(a, Chain):
+        return Chain(kind, a, w)
+    if a.kind != kind or a.order < w:
+        raise ValueError(f"needs a {kind} chain to order >= {w}, "
+                         f"got a {a.kind} chain to order {a.order}")
+    return a
+
+
+def beta_chain(a: Arg | Chain, n_max: int, order: int) -> Chain:
+    """The symmetric chain that ``beta_composed`` reads for every
+    |n| <= n_max at ``order``."""
+    return _chain_for("symmetric", a, order + 2 * n_max + 10)
+
+
+def gamma_chain(a: Arg | Chain, n_max: int, order: int) -> Chain:
+    """The asymmetric chain that ``gamma_composed`` reads for every
+    0 <= n <= n_max at ``order``."""
+    return _chain_for("asymmetric", a, order + 4 * n_max + 12)
 
 
 def _beta_closed_inverse(n: int, a: Arg, b1: TSeries) -> TSeries:
@@ -197,38 +229,47 @@ def _beta_closed_inverse(n: int, a: Arg, b1: TSeries) -> TSeries:
     return c1 * b1.inverse() - c2 * as_series(a, w).inverse()
 
 
-def beta_closed(n: int, a: Arg, order: int) -> TSeries:
+def beta_closed(n: int, a: Arg, order: int, b1: TSeries | None = None) -> TSeries:
+    """beta_n(a) from its closed-form reciprocal, symmetric model.
+
+    ``b1`` is beta_1(a) to at least order + 4 (beta_-1 comes out 4 orders
+    short of beta_1, the most of any beta_n), built here if not given.
+    """
     if n == 0:
         return as_series(a, order)
-    # beta_-1 comes out 4 orders short of beta_1, the most of any beta_n
-    b1 = root("symmetric", "beta-", a, order + 4)
+    if b1 is None:
+        b1 = root("symmetric", "beta-", a, order + 4)
+    elif b1.order < order + 4:
+        raise ValueError(f"beta_1(a) to order {b1.order}; {order + 4} is needed")
     return _beta_closed_inverse(n, a, b1).inverse().truncate(order)
 
 
-def beta_composed(n: int, a: Arg, order: int) -> TSeries:
+def beta_composed(n: int, a: Arg | Chain, order: int) -> TSeries:
     """beta_n by n-fold composition of the degree-one root maps.
 
-    Positive n reads element n of the root chain.  Negative n walks the
-    kernel quadratic downward: the two roots of K(beta_m, .) are exactly
-    beta_{m-1} and beta_{m+1}, so beta_{m-1} = C(beta_m) / (A(beta_m) *
-    beta_{m+1}); this stays inside rational series where the explicit
-    plus-branch formula would need square roots that leave the field.
+    ``a`` may be a ``beta_chain`` already built for at least |n|, so that a
+    caller composing several n builds one chain.  Positive n reads element
+    n of the chain.  Negative n walks the kernel quadratic downward: the two
+    roots of K(beta_m, .) are exactly beta_{m-1} and beta_{m+1}, so
+    beta_{m-1} = C(beta_m) / (A(beta_m) * beta_{m+1}); this stays inside
+    rational series where the explicit plus-branch formula would need square
+    roots that leave the field.
     """
-    w = order + 2 * abs(n) + 10
-    chain = _chain("symmetric", a, w)
+    chain = beta_chain(a, abs(n), order)
     if n >= 0:
-        return next(islice(chain, n, None)).truncate(order)
-    t = tvar(w)
-    cur, upper = next(chain), next(chain)  # beta_m and beta_{m+1} with m = 0
+        return chain[n].truncate(order)
+    t = tvar(chain.order)
+    cur, upper = chain[0], chain[1]  # beta_m and beta_{m+1} with m = 0
     for _ in range(-n):
         qa, _qb, qc = _quad_sym(cur, t)
         upper, cur = cur, qc / (qa * upper)
     return cur.truncate(order)
 
 
-def gamma_composed(n: int, a: Arg, order: int) -> TSeries:
-    chain = _chain("asymmetric", a, order + 4 * n + 12)
-    return next(islice(chain, 2 * n, None)).truncate(order)
+def gamma_composed(n: int, a: Arg | Chain, order: int) -> TSeries:
+    """gamma_n(a), element 2n of the asymmetric chain; ``a`` may be a
+    ``gamma_chain`` already built for at least n."""
+    return gamma_chain(a, n, order)[2 * n].truncate(order)
 
 
 def gamma_closed_inverse(n: int, q: TSeries) -> TSeries:
@@ -244,12 +285,18 @@ def beta_of_gamma_closed_inverse(n: int, q: TSeries) -> TSeries:
     return (t + q.shift(2 * n)) ** 2 / ((1 - t * t) * q.shift(2 * n - 1))
 
 
-def gamma_closed(n: int, a: Arg, order: int) -> TSeries:
-    """gamma_n(a) from its closed-form reciprocal, asymmetric model."""
+def gamma_closed(n: int, a: Arg, order: int, q: TSeries | None = None) -> TSeries:
+    """gamma_n(a) from its closed-form reciprocal, asymmetric model.
+
+    ``q`` is Q(a) to at least order + 2n + 4 (1/gamma_n(a) comes out 2n + 4
+    orders short of Q(a)), built here if not given.
+    """
     if n < 0:
         raise ValueError("gamma compositions are defined for n >= 0")
-    # 1/gamma_n(a) comes out 2n + 4 orders short of Q(a)
-    q = q_asym(a, order + 2 * n + 4)
+    if q is None:
+        q = q_asym(a, order + 2 * n + 4)
+    elif q.order < order + 2 * n + 4:
+        raise ValueError(f"Q(a) to order {q.order}; {order + 2 * n + 4} is needed")
     return gamma_closed_inverse(n, q).inverse().truncate(order)
 
 
@@ -411,7 +458,8 @@ def script_coeffs(n: int, a: Arg, order: int) -> list[tuple[str, TSeries, TSerie
     """
     w = order + 4 * (n + 1) + 16
     t = tvar(w)
-    g_n, bg, g_n1 = islice(_chain("asymmetric", a, w), 2 * n, 2 * n + 3)
+    chain = Chain("asymmetric", a, w)
+    g_n, bg, g_n1 = chain[2 * n], chain[2 * n + 1], chain[2 * n + 2]
     x_n, y_n, z_n, a_n = _raw_quotients(g_n, bg, g_n1, w)
     b_n = x_n + y_n * z_n
     c_n = y_n * a_n
@@ -471,9 +519,9 @@ def raw_iterated_sum(a: Arg, order: int) -> TSeries:
     w = order + 8
     acc = TSeries.zero(w)
     prod = TSeries.constant(1, w)
-    chain = _chain("asymmetric", a, w)
-    g_n = next(chain)
-    for n, (bg, g_n1) in enumerate(zip(chain, chain)):
+    chain = Chain("asymmetric", a, w)
+    for n in count():
+        g_n, bg, g_n1 = chain[2 * n], chain[2 * n + 1], chain[2 * n + 2]
         x_n, y_n, z_n, a_n = _raw_quotients(g_n, bg, g_n1, w)
         term = prod * (x_n + y_n * z_n)
         acc = acc + term
@@ -481,5 +529,4 @@ def raw_iterated_sum(a: Arg, order: int) -> TSeries:
         if (val is not None and val > order and n > 0) or 2 * (n + 1) ** 2 > order + 4:
             break
         prod = prod * (y_n * a_n)
-        g_n = g_n1
     return acc.truncate(order)

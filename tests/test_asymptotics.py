@@ -1,9 +1,12 @@
 """Asymptotic constants, fits, and the polynomial zero audit."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 
 from wedgewalks import asymptotics as asy
+from wedgewalks import cli
 from wedgewalks.errors import BudgetError
 
 
@@ -232,6 +235,53 @@ class TestRootAudit:
     def test_budget(self):
         with pytest.raises(BudgetError):
             asy.root_audit(40)
+
+    def test_unpolished_seeds_fail_the_residual_bound(self, monkeypatch, capsys):
+        # the float Aberth seeds hold about 16 digits, far short of 30; only
+        # the roots +-1 of the k = -1 polynomial 1 - t^2 come out exact
+        monkeypatch.setattr(asy, "_newton", lambda lifted, bits, stop, x, y: (x, y))
+        with pytest.raises(asy.AuditError, match="Q-family k=0: root polish left residual"):
+            asy.root_audit(3, 30)
+        argv = ["asympt", "--const", "roots", "--kmax", "3", "--digits", "30"]
+        assert cli.main(argv) == cli.EXIT_VERIFY_FAIL
+        assert "root polish left residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("digits", [1, 5, 8, 10, 16])
+    def test_few_digits_still_print_known_digits(self, digits):
+        # roots print at 17 digits, so they are polished to at least 27
+        # places whatever --digits asks, and print as at 40 digits
+        assert asy.root_audit(10, digits).results == asy.root_audit(10, 40).results
+
+
+def _abs2_exact(coeffs, x):
+    """|f(x)|^2 in exact rationals, for x a complex of dyadic floats."""
+    z = (Fraction(x.real), Fraction(x.imag))
+    fr = fi = Fraction(0)
+    for e, c in coeffs.items():
+        pr, pi = Fraction(1), Fraction(0)
+        for _ in range(e):
+            pr, pi = pr * z[0] - pi * z[1], pr * z[1] + pi * z[0]
+        fr, fi = fr + c * pr, fi + c * pi
+    return fr * fr + fi * fi
+
+
+class TestExactResidual:
+    """|f(x)|^2 at a dyadic point x, returned exactly as num / 2^shift."""
+
+    @pytest.mark.parametrize("coeffs,x,expected", [
+        ({0: 1, 1: 1}, -0.5, (1, 2)),        # 1 + t at -1/2: 1/4 (9/4 if the sign is lost)
+        ({0: 1, 2: 1}, 0.5j, (9, 4)),        # 1 + t^2 at i/2: 9/16
+        ({0: -4, 1: 1}, 4, (0, 0)),          # t - 4 at 4, whose mpf exponent is 2
+        ({0: 2, 1: -1, 2: 3}, 0, (4, 0)),    # the constant term alone
+    ], ids=["negative_mantissa", "imaginary", "positive_exponent", "zero"])
+    def test_hand_checked(self, coeffs, x, expected):
+        assert asy._abs2_at(coeffs, mpmath.mpc(x)) == expected
+
+    @pytest.mark.parametrize("x", [-0.75 - 0.25j, 0.375 - 1.5j, -3 + 0.125j])
+    def test_matches_exact_rationals(self, x):
+        coeffs = {0: 1, 1: 1, 3: -3, 5: 1}
+        num, shift = asy._abs2_at(coeffs, mpmath.mpc(x))
+        assert Fraction(num, 2 ** shift) == _abs2_exact(coeffs, x)
 
 
 class TestZeroCount:

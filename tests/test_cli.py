@@ -431,6 +431,8 @@ PINNED = {
     "asympt --const halfplane --nmax 121": "55eb65f45a64c1bd",
     "asympt --const p-pieces --nmax 50": "f4af854d842820de",
     "asympt --const roots --kmax 3": "925c0c423e24a7fd",
+    "asympt --const roots --kmax 12 --digits 60": "e128cf494531dac3",
+    "asympt --const roots --kmax 6 --digits 30": "558fadd366f01c03",
     "asympt --const A1A2 --nmax 120": "0e7457ada4d08513",
     "verify --suite kernel --order 10": "8048ff54ebcb8ada",
     "verify --suite closedform --order 24": "142e9e26d01c31f1",

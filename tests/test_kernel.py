@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from wedgewalks import kernel
+from wedgewalks import kernel, suites
 from wedgewalks.closedforms import printed_q_asym, printed_q_sym
 from wedgewalks.series import TSeries, tpoly
 from wedgewalks.walks import weighted_gf
@@ -95,6 +95,16 @@ class TestEachRootBuiltOnce:
     """One call composes each root-chain element once and builds beta_1(a)
     and Q(a) once."""
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"root": 0, "q_asym": 0}
+        for name, original in [(name, getattr(kernel, name)) for name in calls]:
+            def counted(*a, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*a)
+            monkeypatch.setattr(kernel, name, counted)
+        return calls
+
     @pytest.mark.parametrize("fn,args,roots,q_calls", [
         # depths n = 0..3 read chain elements 0..8 (gamma_0 .. gamma_4)
         ("raw_iterated_sum", (1, 24), 8, 0),
@@ -103,15 +113,45 @@ class TestEachRootBuiltOnce:
         # beta_1(a) for every closed form, and beta_-1(beta_1(a))
         ("group_law_check", (5, Fraction(2, 3), 10), 2, 0),
     ], ids=["raw_iterated_sum", "script_coeffs", "group_law_check"])
-    def test_call_counts(self, monkeypatch, fn, args, roots, q_calls):
-        calls = {"root": 0, "q_asym": 0}
-        for name, original in [(name, getattr(kernel, name)) for name in calls]:
-            def counted(*a, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*a)
-            monkeypatch.setattr(kernel, name, counted)
+    def test_call_counts(self, calls, fn, args, roots, q_calls):
         getattr(kernel, fn)(*args)
         assert calls == {"root": roots, "q_asym": q_calls}
+
+    def test_suite_kernel_call_counts(self, calls):
+        suites.suite_kernel(6)
+        assert calls == {
+            # 16 beta-root checks, 3 alpha-root checks, 2 roots for each of
+            # 3 group laws, 2 for the mixed-inverse check; the
+            # compositions: beta_1(a) once, 6 symmetric chain elements, Q(a)
+            # once (1 root) and 8 asymmetric chain elements; 5 Qbar Q pairs
+            # (2 roots each), 3 printed forms (P(1) takes 2), 3 script
+            # depths (2 + 4 + 6 chain elements, 1 Q(a) each)
+            "root": 16 + 3 + 3 * 2 + 2 + (1 + 6 + 1 + 8) + 5 * 2 + 4 + (12 + 3),
+            # one for the gamma closed forms, 5 Q(a) in Qbar Q, Q_asym(1)
+            # and P(1), one per script depth
+            "q_asym": 1 + 5 + 2 + 3,
+        }
+
+    @pytest.mark.parametrize("n", range(-2, 7))
+    def test_one_chain_serves_every_beta(self, n):
+        chain = kernel.beta_chain(Fraction(1, 2), 6, 12)
+        assert kernel.beta_composed(n, chain, 12).same(
+            kernel.beta_composed(n, Fraction(1, 2), 12))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_chain_serves_every_gamma(self, n):
+        chain = kernel.gamma_chain(1, 4, 12)
+        assert kernel.gamma_composed(n, chain, 12).same(kernel.gamma_composed(n, 1, 12))
+
+    def test_short_or_foreign_inputs_are_refused(self):
+        with pytest.raises(ValueError, match="needs a symmetric chain to order >= 26"):
+            kernel.beta_composed(2, kernel.beta_chain(1, 1, 12), 12)
+        with pytest.raises(ValueError, match="got a asymmetric chain"):
+            kernel.beta_composed(0, kernel.gamma_chain(1, 4, 12), 12)
+        with pytest.raises(ValueError, match="beta_1"):
+            kernel.beta_closed(1, 1, 12, kernel.root("symmetric", "beta-", 1, 15))
+        with pytest.raises(ValueError, match="Q"):
+            kernel.gamma_closed(2, 1, 12, kernel.q_asym(1, 19))
 
 
 def _beta(n, a, order):
