@@ -16,6 +16,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 
@@ -585,6 +586,12 @@ def _abs2_at(coeffs: dict[int, int], x) -> tuple[int, int]:
     return fr * fr + fi * fi, 2 * s * deg
 
 
+def _lift(v: float, bits: int) -> int:
+    """round(v 2^bits) exactly, at any bits: the scaled seed may pass the
+    float range (2^1024) once digits reach about 300."""
+    return round(Fraction(v) * (1 << bits))
+
+
 def _newton(lifted: list[int], bits: int, stop: int, x: int, y: int) -> tuple[int, int]:
     """Newton on the fixed-point root (x + iy)/2^bits of the polynomial with
     descending coefficients c = lifted / 2^bits, in Gaussian integers, until
@@ -628,8 +635,7 @@ def _poly_roots(coeffs: dict[int, int], digits: int):
         tol = mpmath.mpf(10) ** (-(digits + 5))
         polished = []
         for r in _aberth(desc):
-            x, y = _newton(lifted, bits, stop, round(math.ldexp(r.real, bits)),
-                           round(math.ldexp(r.imag, bits)))
+            x, y = _newton(lifted, bits, stop, _lift(r.real, bits), _lift(r.imag, bits))
             z = mpmath.mpc(mpmath.chop(mpmath.mpc(mpmath.mpf((x, -bits)),
                                                   mpmath.mpf((y, -bits))), tol))
             num, shift = _abs2_at(coeffs, z)

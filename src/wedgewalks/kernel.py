@@ -197,13 +197,13 @@ class Chain:
 
 
 def _chain_for(kind: str, a: Arg | Chain, w: int) -> Chain:
-    """A new ``kind`` chain of a at working order w, or a itself if it is
-    one built to at least w (any other chain raises ValueError)."""
+    """A new ``kind`` chain of a at working order w, or a itself if it is a
+    ``kind`` chain (a chain of the other model raises ValueError; one built
+    too short raises OrderUnderflowError where its elements are truncated)."""
     if not isinstance(a, Chain):
         return Chain(kind, a, w)
-    if a.kind != kind or a.order < w:
-        raise ValueError(f"needs a {kind} chain to order >= {w}, "
-                         f"got a {a.kind} chain to order {a.order}")
+    if a.kind != kind:
+        raise ValueError(f"needs a {kind} chain, got a {a.kind} chain")
     return a
 
 
@@ -229,18 +229,21 @@ def _beta_closed_inverse(n: int, a: Arg, b1: TSeries) -> TSeries:
     return c1 * b1.inverse() - c2 * as_series(a, w).inverse()
 
 
+def beta_closed_input(a: Arg, order: int) -> TSeries:
+    """beta_1(a), which ``beta_closed`` reads for every n at ``order``:
+    beta_-1 comes out 4 orders short of beta_1, the most of any beta_n."""
+    return root("symmetric", "beta-", a, order + 4)
+
+
 def beta_closed(n: int, a: Arg, order: int, b1: TSeries | None = None) -> TSeries:
     """beta_n(a) from its closed-form reciprocal, symmetric model.
 
-    ``b1`` is beta_1(a) to at least order + 4 (beta_-1 comes out 4 orders
-    short of beta_1, the most of any beta_n), built here if not given.
+    ``b1`` is ``beta_closed_input(a, order)``, built here if not given.
     """
     if n == 0:
         return as_series(a, order)
     if b1 is None:
-        b1 = root("symmetric", "beta-", a, order + 4)
-    elif b1.order < order + 4:
-        raise ValueError(f"beta_1(a) to order {b1.order}; {order + 4} is needed")
+        b1 = beta_closed_input(a, order)
     return _beta_closed_inverse(n, a, b1).inverse().truncate(order)
 
 
@@ -285,18 +288,22 @@ def beta_of_gamma_closed_inverse(n: int, q: TSeries) -> TSeries:
     return (t + q.shift(2 * n)) ** 2 / ((1 - t * t) * q.shift(2 * n - 1))
 
 
+def gamma_closed_input(a: Arg, n_max: int, order: int) -> TSeries:
+    """Q(a), which ``gamma_closed`` reads for every 0 <= n <= n_max at
+    ``order``: 1/gamma_n(a) comes out 2n + 4 orders short of Q(a)."""
+    return q_asym(a, order + 2 * n_max + 4)
+
+
 def gamma_closed(n: int, a: Arg, order: int, q: TSeries | None = None) -> TSeries:
     """gamma_n(a) from its closed-form reciprocal, asymmetric model.
 
-    ``q`` is Q(a) to at least order + 2n + 4 (1/gamma_n(a) comes out 2n + 4
-    orders short of Q(a)), built here if not given.
+    ``q`` is ``gamma_closed_input(a, n, order)`` or one built for a larger
+    n, built here if not given.
     """
     if n < 0:
         raise ValueError("gamma compositions are defined for n >= 0")
     if q is None:
-        q = q_asym(a, order + 2 * n + 4)
-    elif q.order < order + 2 * n + 4:
-        raise ValueError(f"Q(a) to order {q.order}; {order + 2 * n + 4} is needed")
+        q = gamma_closed_input(a, n, order)
     return gamma_closed_inverse(n, q).inverse().truncate(order)
 
 
@@ -319,7 +326,7 @@ def group_law_check(n: int, a: Arg, order: int) -> list[tuple[str, tuple[TSeries
     t = tvar(w)
     checks = []
 
-    b1 = root("symmetric", "beta-", a, w + 4)  # see beta_closed
+    b1 = beta_closed_input(a, w)
     inv = {m: _beta_closed_inverse(m, a, b1)
            for m in range(min(-m_hi, -2, n - 2), m_hi + 1)}
     ladder = {m: inv[m].inverse().truncate(w) for m in range(min(-m_hi, -2), m_hi + 1)}

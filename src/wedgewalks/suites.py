@@ -173,14 +173,14 @@ def suite_kernel(order: int = 40) -> list[Verdict]:
     # call, so that a test can perturb them
     o = min(order, 30)
     a = Fraction(1, 2)
-    b1 = kernel.root("symmetric", "beta-", a, o + 4)
+    b1 = kernel.beta_closed_input(a, o)
     chain = kernel.beta_chain(a, 6, o)
     for n in range(-2, 7):
         closed = kernel.beta_closed(n, a, o, b1)
         out.append(_verdict("kernel", f"beta_{n} closed = composed", o,
                             closed - kernel.beta_composed(n, chain, o), a=a))
     a = Fraction(1)
-    q = kernel.q_asym(a, o + 2 * 4 + 4)
+    q = kernel.gamma_closed_input(a, 4, o)
     chain = kernel.gamma_chain(a, 4, o)
     for n in range(0, 5):
         closed = kernel.gamma_closed(n, a, o, q)

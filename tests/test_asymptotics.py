@@ -246,6 +246,14 @@ class TestRootAudit:
         assert cli.main(argv) == cli.EXIT_VERIFY_FAIL
         assert "root polish left residual" in capsys.readouterr().err
 
+    def test_seeds_lift_past_the_float_range(self):
+        # from about 300 digits the fixed-point scale 2^B passes 2^1024, the
+        # float range; the seeds are lifted exactly all the same
+        assert mpmath.libmp.dps_to_prec(asy._polish_places(300)) > 1024
+        assert asy._lift(-1.5, 1100) == -3 << 1099
+        assert asy._lift(0.1, 1100) == round(Fraction(0.1) * 2 ** 1100)
+        assert asy.root_audit(3, 300).results == asy.root_audit(3, 40).results
+
     @pytest.mark.parametrize("digits", [1, 5, 8, 10, 16])
     def test_few_digits_still_print_known_digits(self, digits):
         # roots print at 17 digits, so they are polished to at least 27

@@ -7,7 +7,7 @@ import pytest
 
 from wedgewalks import kernel, suites
 from wedgewalks.closedforms import printed_q_asym, printed_q_sym
-from wedgewalks.series import TSeries, tpoly
+from wedgewalks.series import OrderUnderflowError, TSeries, tpoly
 from wedgewalks.walks import weighted_gf
 
 
@@ -143,15 +143,19 @@ class TestEachRootBuiltOnce:
         chain = kernel.gamma_chain(1, 4, 12)
         assert kernel.gamma_composed(n, chain, 12).same(kernel.gamma_composed(n, 1, 12))
 
-    def test_short_or_foreign_inputs_are_refused(self):
-        with pytest.raises(ValueError, match="needs a symmetric chain to order >= 26"):
-            kernel.beta_composed(2, kernel.beta_chain(1, 1, 12), 12)
-        with pytest.raises(ValueError, match="got a asymmetric chain"):
+    def test_foreign_chain_is_refused(self):
+        with pytest.raises(ValueError, match="needs a symmetric chain, got a asymmetric"):
             kernel.beta_composed(0, kernel.gamma_chain(1, 4, 12), 12)
-        with pytest.raises(ValueError, match="beta_1"):
-            kernel.beta_closed(1, 1, 12, kernel.root("symmetric", "beta-", 1, 15))
-        with pytest.raises(ValueError, match="Q"):
-            kernel.gamma_closed(2, 1, 12, kernel.q_asym(1, 19))
+        with pytest.raises(ValueError, match="needs a asymmetric chain, got a symmetric"):
+            kernel.gamma_composed(0, kernel.beta_chain(1, 4, 12), 12)
+
+    def test_short_input_underflows_where_it_is_truncated(self):
+        with pytest.raises(OrderUnderflowError, match="reliable order 11 to 12"):
+            kernel.beta_composed(-2, kernel.Chain("symmetric", 1, 12), 12)
+        with pytest.raises(OrderUnderflowError, match="reliable order 8 to 12"):
+            kernel.beta_closed(-1, 1, 12, kernel.root("symmetric", "beta-", 1, 12))
+        with pytest.raises(OrderUnderflowError, match="reliable order 10 to 12"):
+            kernel.gamma_closed(4, 1, 12, kernel.q_asym(1, 6))
 
 
 def _beta(n, a, order):
