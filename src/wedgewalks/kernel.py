@@ -15,10 +15,10 @@ line and f(t*b, b) those on the upper one.
 
 The paper solves its recurrences by iterated compositions of the kernel
 roots.  A ``Chain`` builds them once: a, beta(a), beta(beta(a)), ...
-(symmetric) or a, beta(a), gamma_1(a), beta(gamma_1(a)), ... (asymmetric);
-a caller that composes several n passes one chain to each composed form.
-Composed forms read only that chain and closed forms only beta_1(a) or Q(a),
-so each "closed = composed" identity compares two independent computations.
+(symmetric) or a, beta(a), gamma_1(a), beta(gamma_1(a)), ... (asymmetric),
+and every composed form reads a chain.  Composed forms read only that chain
+and closed forms only beta_1(a) or Q(a), so each "closed = composed"
+identity compares two independent computations.
 
 The identity helpers (``group_law_check``, ``mixed_inverse_check``,
 ``script_coeffs``, the ``residual_*`` functions) return only the series to
@@ -29,10 +29,10 @@ verdicts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, cycle
+from itertools import count
 from typing import NamedTuple, Union
 
-from .series import TSeries
+from .series import OrderUnderflowError, TSeries
 
 Arg = Union[int, Fraction, TSeries]
 
@@ -143,11 +143,15 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
     for the asymmetric model, ``alpha-``, ``alpha+`` (roots in the first
     slot); any other model or branch raises ValueError.  The ``-`` branches
     are the formal-power-series ones with leading term t*arg; the ``+``
-    branches are their Laurent inverses with valuation val(arg) - 1.
+    branches are their Laurent inverses with valuation val(arg) - 1.  A
+    series argument too short to fix the root's leading term raises
+    OrderUnderflowError.
     """
     w = order + 6
     s = as_series(arg, w)
     if s.is_zero():
+        if isinstance(arg, TSeries):
+            raise OrderUnderflowError(f"root argument is zero to its order {s.order}")
         raise ValueError("root argument must be nonzero")
     sign = -1 if which.endswith("-") else +1
     if kind == "symmetric" and which in ("beta-", "beta+"):
@@ -160,6 +164,10 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
         raise ValueError(f"no {which!r} root for model {kind!r}")
     if s.valuation is not None and s.valuation >= 0:
         want = s.valuation + (1 if sign < 0 else -1)
+        if res.order < want:
+            raise OrderUnderflowError(
+                f"{which} branch has reliable order {res.order}, below its valuation {want}"
+            )
         if res.valuation != want:
             raise BranchSelectionError(
                 f"{which} branch has valuation {res.valuation}, expected {want}"
@@ -186,37 +194,29 @@ class Chain:
 
     def __init__(self, kind: str, a: Arg, w: int):
         self.kind, self.order = kind, w
-        self._steps = cycle(("beta-",) if kind == "symmetric" else ("beta-", "alpha-"))
+        self._steps = ("beta-",) if kind == "symmetric" else ("beta-", "alpha-")
         self._built = [as_series(a, w)]
 
     def __getitem__(self, k: int) -> TSeries:
+        if k < 0:
+            raise ValueError(f"chain elements are indexed by k >= 0, got {k}")
         while len(self._built) <= k:
             cur = self._built[-1]
-            self._built.append(root(self.kind, next(self._steps), cur, cur.order))
+            step = self._steps[(len(self._built) - 1) % len(self._steps)]
+            self._built.append(root(self.kind, step, cur, cur.order))
         return self._built[k]
 
 
-def _chain_for(kind: str, a: Arg | Chain, w: int) -> Chain:
-    """A new ``kind`` chain of a at working order w, or a itself if it is a
-    ``kind`` chain (a chain of the other model raises ValueError; one built
-    too short raises OrderUnderflowError where its elements are truncated)."""
-    if not isinstance(a, Chain):
-        return Chain(kind, a, w)
-    if a.kind != kind:
-        raise ValueError(f"needs a {kind} chain, got a {a.kind} chain")
-    return a
-
-
-def beta_chain(a: Arg | Chain, n_max: int, order: int) -> Chain:
-    """The symmetric chain that ``beta_composed`` reads for every
+def beta_chain(a: Arg, n_max: int, order: int) -> Chain:
+    """The symmetric chain of a that ``beta_composed`` reads for every
     |n| <= n_max at ``order``."""
-    return _chain_for("symmetric", a, order + 2 * n_max + 10)
+    return Chain("symmetric", a, order + 2 * n_max + 10)
 
 
-def gamma_chain(a: Arg | Chain, n_max: int, order: int) -> Chain:
-    """The asymmetric chain that ``gamma_composed`` reads for every
+def gamma_chain(a: Arg, n_max: int, order: int) -> Chain:
+    """The asymmetric chain of a that ``gamma_composed`` reads for every
     0 <= n <= n_max at ``order``."""
-    return _chain_for("asymmetric", a, order + 4 * n_max + 12)
+    return Chain("asymmetric", a, order + 4 * n_max + 12)
 
 
 def _beta_closed_inverse(n: int, a: Arg, b1: TSeries) -> TSeries:
@@ -235,30 +235,26 @@ def beta_closed_input(a: Arg, order: int) -> TSeries:
     return root("symmetric", "beta-", a, order + 4)
 
 
-def beta_closed(n: int, a: Arg, order: int, b1: TSeries | None = None) -> TSeries:
-    """beta_n(a) from its closed-form reciprocal, symmetric model.
-
-    ``b1`` is ``beta_closed_input(a, order)``, built here if not given.
-    """
+def beta_closed(n: int, a: Arg, b1: TSeries, order: int) -> TSeries:
+    """beta_n(a) from its closed-form reciprocal, symmetric model, reading
+    b1 = ``beta_closed_input(a, order)``."""
     if n == 0:
-        return as_series(a, order)
-    if b1 is None:
-        b1 = beta_closed_input(a, order)
+        return as_series(a, order).truncate(order)
     return _beta_closed_inverse(n, a, b1).inverse().truncate(order)
 
 
-def beta_composed(n: int, a: Arg | Chain, order: int) -> TSeries:
-    """beta_n by n-fold composition of the degree-one root maps.
+def beta_composed(n: int, chain: Chain, order: int) -> TSeries:
+    """beta_n by n-fold composition of the degree-one root maps, reading
+    ``chain``, a ``beta_chain`` built for at least |n|.
 
-    ``a`` may be a ``beta_chain`` already built for at least |n|, so that a
-    caller composing several n builds one chain.  Positive n reads element
-    n of the chain.  Negative n walks the kernel quadratic downward: the two
-    roots of K(beta_m, .) are exactly beta_{m-1} and beta_{m+1}, so
-    beta_{m-1} = C(beta_m) / (A(beta_m) * beta_{m+1}); this stays inside
-    rational series where the explicit plus-branch formula would need square
-    roots that leave the field.
+    Positive n reads element n of the chain.  Negative n walks the kernel
+    quadratic downward: the two roots of K(beta_m, .) are exactly beta_{m-1}
+    and beta_{m+1}, so beta_{m-1} = C(beta_m) / (A(beta_m) * beta_{m+1});
+    this stays inside rational series where the explicit plus-branch formula
+    would need square roots that leave the field.
     """
-    chain = beta_chain(a, abs(n), order)
+    if chain.kind != "symmetric":
+        raise ValueError(f"needs a symmetric chain, got a {chain.kind} chain")
     if n >= 0:
         return chain[n].truncate(order)
     t = tvar(chain.order)
@@ -269,10 +265,14 @@ def beta_composed(n: int, a: Arg | Chain, order: int) -> TSeries:
     return cur.truncate(order)
 
 
-def gamma_composed(n: int, a: Arg | Chain, order: int) -> TSeries:
-    """gamma_n(a), element 2n of the asymmetric chain; ``a`` may be a
-    ``gamma_chain`` already built for at least n."""
-    return gamma_chain(a, n, order)[2 * n].truncate(order)
+def gamma_composed(n: int, chain: Chain, order: int) -> TSeries:
+    """gamma_n(a), element 2n of ``chain``, a ``gamma_chain`` built for at
+    least n."""
+    if n < 0:
+        raise ValueError("gamma compositions are defined for n >= 0")
+    if chain.kind != "asymmetric":
+        raise ValueError(f"needs a asymmetric chain, got a {chain.kind} chain")
+    return chain[2 * n].truncate(order)
 
 
 def gamma_closed_inverse(n: int, q: TSeries) -> TSeries:
@@ -288,22 +288,18 @@ def beta_of_gamma_closed_inverse(n: int, q: TSeries) -> TSeries:
     return (t + q.shift(2 * n)) ** 2 / ((1 - t * t) * q.shift(2 * n - 1))
 
 
-def gamma_closed_input(a: Arg, n_max: int, order: int) -> TSeries:
-    """Q(a), which ``gamma_closed`` reads for every 0 <= n <= n_max at
-    ``order``: 1/gamma_n(a) comes out 2n + 4 orders short of Q(a)."""
-    return q_asym(a, order + 2 * n_max + 4)
+def gamma_closed_input(a: Arg, order: int) -> TSeries:
+    """Q(a), which ``gamma_closed`` reads for every n >= 0 at ``order``:
+    gamma_n comes out 4 - 2n orders short of Q(a), so gamma_0 sets the
+    margin."""
+    return q_asym(a, order + 4)
 
 
-def gamma_closed(n: int, a: Arg, order: int, q: TSeries | None = None) -> TSeries:
-    """gamma_n(a) from its closed-form reciprocal, asymmetric model.
-
-    ``q`` is ``gamma_closed_input(a, n, order)`` or one built for a larger
-    n, built here if not given.
-    """
+def gamma_closed(n: int, q: TSeries, order: int) -> TSeries:
+    """gamma_n(a) from its closed-form reciprocal, asymmetric model, reading
+    q = ``gamma_closed_input(a, order)``."""
     if n < 0:
         raise ValueError("gamma compositions are defined for n >= 0")
-    if q is None:
-        q = gamma_closed_input(a, n, order)
     return gamma_closed_inverse(n, q).inverse().truncate(order)
 
 

@@ -176,14 +176,14 @@ def suite_kernel(order: int = 40) -> list[Verdict]:
     b1 = kernel.beta_closed_input(a, o)
     chain = kernel.beta_chain(a, 6, o)
     for n in range(-2, 7):
-        closed = kernel.beta_closed(n, a, o, b1)
+        closed = kernel.beta_closed(n, a, b1, o)
         out.append(_verdict("kernel", f"beta_{n} closed = composed", o,
                             closed - kernel.beta_composed(n, chain, o), a=a))
     a = Fraction(1)
-    q = kernel.gamma_closed_input(a, 4, o)
+    q = kernel.gamma_closed_input(a, o)
     chain = kernel.gamma_chain(a, 4, o)
     for n in range(0, 5):
-        closed = kernel.gamma_closed(n, a, o, q)
+        closed = kernel.gamma_closed(n, q, o)
         out.append(_verdict("kernel", f"gamma_{n} closed = composed", o,
                             closed - kernel.gamma_composed(n, chain, o), a=a))
 

@@ -78,10 +78,12 @@ def test_criterion_04_kernel_and_composition_identities():
                 failures.append(("root", kind, a))
     for n in range(7):
         a = Fraction(1, 2)
-        if not kernel.beta_closed(n, a, 20).same(kernel.beta_composed(n, a, 20)):
+        closed = kernel.beta_closed(n, a, kernel.beta_closed_input(a, 20), 20)
+        if not closed.same(kernel.beta_composed(n, kernel.beta_chain(a, n, 20), 20)):
             failures.append(("beta", n))
     for n in range(5):
-        if not kernel.gamma_closed(n, 1, 20).same(kernel.gamma_composed(n, 1, 20)):
+        closed = kernel.gamma_closed(n, kernel.gamma_closed_input(1, 20), 20)
+        if not closed.same(kernel.gamma_composed(n, kernel.gamma_chain(1, n, 20), 20)):
             failures.append(("gamma", n))
     for name, residuals in kernel.group_law_check(1, Fraction(1), 30):
         if not all(r.is_zero() for r in residuals):

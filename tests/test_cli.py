@@ -434,7 +434,9 @@ PINNED = {
     "asympt --const roots --kmax 12 --digits 60": "e128cf494531dac3",
     "asympt --const roots --kmax 6 --digits 30": "558fadd366f01c03",
     "asympt --const A1A2 --nmax 120": "0e7457ada4d08513",
+    "verify --suite kernel --order 0": "a25b5f24fe238bfc",
     "verify --suite kernel --order 10": "8048ff54ebcb8ada",
+    "verify --suite kernel --order 30": "db5bb46d22344405",
     "verify --suite closedform --order 24": "142e9e26d01c31f1",
     "series --kind H_aya_simplified --a 2/3 --order 19 --format json": "2d1d2a530d405895",
     "series --kind theta_asym_p --a -1 --order 12 --format json": "a140b8ce71e0e307",

@@ -7,7 +7,8 @@ import pytest
 
 from wedgewalks import kernel, suites
 from wedgewalks.closedforms import printed_q_asym, printed_q_sym
-from wedgewalks.series import OrderUnderflowError, TSeries, tpoly
+from wedgewalks.series import (OrderUnderflowError, SeriesError, TSeries,
+                               ZeroDivisionSeriesError, tpoly)
 from wedgewalks.walks import weighted_gf
 
 
@@ -78,7 +79,8 @@ class TestRoots:
     def test_root_map_twice_equals_depth_two_closed_form(self):
         b1 = kernel.root("symmetric", "beta-", 1, 30)
         b2 = kernel.root("symmetric", "beta-", b1, b1.order)
-        assert b2.same(kernel.beta_closed(2, 1, b2.order))
+        assert b2.same(kernel.beta_closed(2, 1, kernel.beta_closed_input(1, b2.order),
+                                          b2.order))
 
     def test_alpha_requires_asymmetric(self):
         with pytest.raises(ValueError):
@@ -134,14 +136,23 @@ class TestEachRootBuiltOnce:
 
     @pytest.mark.parametrize("n", range(-2, 7))
     def test_one_chain_serves_every_beta(self, n):
-        chain = kernel.beta_chain(Fraction(1, 2), 6, 12)
-        assert kernel.beta_composed(n, chain, 12).same(
-            kernel.beta_composed(n, Fraction(1, 2), 12))
+        shared = kernel.beta_chain(Fraction(1, 2), 6, 12)
+        alone = kernel.beta_chain(Fraction(1, 2), abs(n), 12)
+        assert kernel.beta_composed(n, shared, 12).same(kernel.beta_composed(n, alone, 12))
 
     @pytest.mark.parametrize("n", range(5))
     def test_one_chain_serves_every_gamma(self, n):
-        chain = kernel.gamma_chain(1, 4, 12)
-        assert kernel.gamma_composed(n, chain, 12).same(kernel.gamma_composed(n, 1, 12))
+        shared, alone = kernel.gamma_chain(1, 4, 12), kernel.gamma_chain(1, n, 12)
+        assert kernel.gamma_composed(n, shared, 12).same(kernel.gamma_composed(n, alone, 12))
+
+    def test_negative_depth_is_refused(self):
+        built = kernel.gamma_chain(1, 4, 12)
+        built[8]  # built to gamma_4, where index -2 would read beta(gamma_3)
+        for chain in (built, kernel.gamma_chain(1, 1, 12)):
+            with pytest.raises(ValueError, match="defined for n >= 0"):
+                kernel.gamma_composed(-1, chain, 12)
+            with pytest.raises(ValueError, match="indexed by k >= 0, got -1"):
+                chain[-1]
 
     def test_foreign_chain_is_refused(self):
         with pytest.raises(ValueError, match="needs a symmetric chain, got a asymmetric"):
@@ -153,22 +164,78 @@ class TestEachRootBuiltOnce:
         with pytest.raises(OrderUnderflowError, match="reliable order 11 to 12"):
             kernel.beta_composed(-2, kernel.Chain("symmetric", 1, 12), 12)
         with pytest.raises(OrderUnderflowError, match="reliable order 8 to 12"):
-            kernel.beta_closed(-1, 1, 12, kernel.root("symmetric", "beta-", 1, 12))
+            kernel.beta_closed(-1, 1, kernel.root("symmetric", "beta-", 1, 12), 12)
         with pytest.raises(OrderUnderflowError, match="reliable order 10 to 12"):
-            kernel.gamma_closed(4, 1, 12, kernel.q_asym(1, 6))
+            kernel.gamma_closed(4, kernel.q_asym(1, 6), 12)
+        with pytest.raises(OrderUnderflowError, match="reliable order 0, below its valuation 1"):
+            kernel.Chain("asymmetric", 1, 0)[2]
+        chain = kernel.Chain("asymmetric", 1, 0)
+        for _ in range(2):  # a failed build leaves the next read on the same root
+            with pytest.raises(OrderUnderflowError, match="beta- branch"):
+                chain[1]
+        # element 3 is t^3 + ... known only to order 2, so a zero series
+        with pytest.raises(OrderUnderflowError, match="zero to its order 2"):
+            kernel.Chain("asymmetric", 1, 2)[4]
+
+    def test_scalar_zero_argument_is_a_value_error(self):
+        with pytest.raises(ValueError, match="must be nonzero") as info:
+            kernel.root("symmetric", "beta-", 0, 5)
+        assert not isinstance(info.value, OrderUnderflowError)
+
+
+_MARGIN_ARGS = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(-1, 2))
+
+
+class TestClosedInputMargins:
+    """The working orders of beta_closed_input and gamma_closed_input are the
+    least that serve every n; one order less fails."""
+
+    @pytest.mark.parametrize("a", _MARGIN_ARGS)
+    @pytest.mark.parametrize("order", [0, 1, 5, 12, 20])
+    def test_beta_1_at_order_plus_4(self, a, order):
+        b1, roomy = (kernel.beta_closed_input(a, order),
+                     kernel.beta_closed_input(a, order + 20))
+        for n in range(-8, 9):
+            assert kernel.beta_closed(n, a, b1, order).same(
+                kernel.beta_closed(n, a, roomy, order)), n
+        short = kernel.root("symmetric", "beta-", a, order + 3)
+        with pytest.raises(OrderUnderflowError):
+            kernel.beta_closed(-1, a, short, order)
+
+    @pytest.mark.parametrize("a", _MARGIN_ARGS)
+    @pytest.mark.parametrize("order", [0, 1, 5, 12, 20])
+    def test_q_at_order_plus_4(self, a, order):
+        q = kernel.gamma_closed_input(a, order)
+        for n in range(7):
+            assert kernel.gamma_closed(n, q, order).same(
+                kernel.gamma_closed(n, kernel.q_asym(a, order + 2 * n + 4), order)), n
+        # at order 0 the short Q (valuation 4, known to t^3) is identically zero
+        error = ZeroDivisionSeriesError if order == 0 else SeriesError
+        with pytest.raises(error):
+            kernel.gamma_closed(0, kernel.q_asym(a, order + 3), order)
+
+    def test_beta_0_honours_order(self):
+        s = kernel.root("symmetric", "beta-", Fraction(1, 2), 50)
+        assert s.order == 50
+        closed = kernel.beta_closed(0, s, kernel.beta_closed_input(s, 20), 20)
+        composed = kernel.beta_composed(0, kernel.beta_chain(s, 0, 20), 20)
+        assert closed.order == composed.order == 20
+        assert closed.same(s.truncate(20))
 
 
 def _beta(n, a, order):
     """beta_n(a) in closed form, after checking it against the composition."""
-    closed = kernel.beta_closed(n, a, order)
-    assert closed.same(kernel.beta_composed(n, a, order)), (n, a)
+    closed = kernel.beta_closed(n, a, kernel.beta_closed_input(a, order), order)
+    assert closed.same(kernel.beta_composed(n, kernel.beta_chain(a, abs(n), order),
+                                            order)), (n, a)
     return closed
 
 
 def _gamma(n, a, order):
     """gamma_n(a) in closed form, after checking it against the composition."""
-    closed = kernel.gamma_closed(n, a, order)
-    assert closed.same(kernel.gamma_composed(n, a, order)), (n, a)
+    closed = kernel.gamma_closed(n, kernel.gamma_closed_input(a, order), order)
+    assert closed.same(kernel.gamma_composed(n, kernel.gamma_chain(a, n, order),
+                                             order)), (n, a)
     return closed
 
 
