@@ -254,7 +254,7 @@ def beta_composed(n: int, chain: Chain, order: int) -> TSeries:
     would need square roots that leave the field.
     """
     if chain.kind != "symmetric":
-        raise ValueError(f"needs a symmetric chain, got a {chain.kind} chain")
+        raise ValueError(f"needs a symmetric chain, got an {chain.kind} chain")
     if n >= 0:
         return chain[n].truncate(order)
     t = tvar(chain.order)
@@ -271,7 +271,7 @@ def gamma_composed(n: int, chain: Chain, order: int) -> TSeries:
     if n < 0:
         raise ValueError("gamma compositions are defined for n >= 0")
     if chain.kind != "asymmetric":
-        raise ValueError(f"needs a asymmetric chain, got a {chain.kind} chain")
+        raise ValueError(f"needs an asymmetric chain, got a {chain.kind} chain")
     return chain[2 * n].truncate(order)
 
 
@@ -401,18 +401,16 @@ def p_asym(b: Arg, order: int) -> TSeries:
 
 # -- residual verification ---------------------------------------------------
 
-def residual_functional_eq(kind: str, p: int, a, b, order: int, w) -> TSeries:
+def residual_functional_eq(kind: str, p: int, a, b, order: int,
+                           fab: TSeries, f_lower: TSeries, f_upper: TSeries) -> TSeries:
     """LHS - RHS of the column-construction equation at rational (a, b).
 
-    The walk series f (or h) and its boundary specializations come from
-    ``w``, the dynamic-programming weighted series of the same model and p
-    to at least ``order``; the result must vanish identically mod
-    t^(order+1).
+    The walk series f(a, b) (or h) and its boundary specializations f(a, ta)
+    and f(tb, b) are ``fab``, ``f_lower`` and ``f_upper``, read off the
+    dynamic-programming weighted series of the same model and p to at least
+    ``order``; the result must vanish identically mod t^(order+1).
     """
     a, b = Fraction(a), Fraction(b)
-    fab = w.series_at(a, b)
-    f_lower = w.series_lower(a)
-    f_upper = w.series_upper(b)
     t = tvar(order)
     horiz = t * ((a * b) ** p if kind == "symmetric" else a**p)
     ub = t * Fraction(b, a)
@@ -425,16 +423,17 @@ def residual_functional_eq(kind: str, p: int, a, b, order: int, w) -> TSeries:
     return fab - rhs
 
 
-def residual_kernel_form(kind: str, p: int, a, b, order: int, w) -> TSeries:
+def residual_kernel_form(kind: str, p: int, a, b, order: int,
+                         fab: TSeries, f_lower: TSeries, f_upper: TSeries) -> TSeries:
     """K*f - X - Y*f(a,ta) - Z*f(tb,b), with f and its boundary
-    specializations from the weighted series ``w``; an equivalent
+    specializations given as in ``residual_functional_eq``; an equivalent
     kernel-form residual."""
     a, b = Fraction(a), Fraction(b)
     coeffs = kernel_coeffs(kind, p, a, b, order)
-    return (coeffs.kernel * w.series_at(a, b)
+    return (coeffs.kernel * fab
             - coeffs.free_term
-            - coeffs.lower * w.series_lower(a)
-            - coeffs.upper * w.series_upper(b))
+            - coeffs.lower * f_lower
+            - coeffs.upper * f_upper)
 
 
 # -- the script coefficient ladder (asymmetric solution) ----------------------

@@ -52,6 +52,13 @@ class SqrtBranchError(SeriesError):
     """Square root of odd valuation or non-square leading coefficient."""
 
 
+#: ``mul`` adds one scaled row per term of a factor this short, and takes one
+#: dot product per output coefficient otherwise.  Rows win up to 8 terms (a
+#: 1 x 30 product in a fifth of the time) and lose from 12 to 16 terms on, by
+#: up to 1.2-1.4x for long x long (ROADMAP, "Measured limits")
+_ROW_MAX = 8
+
+
 def _dot(xs, ys) -> int:
     return sum(map(operator.mul, xs, ys))
 
@@ -89,11 +96,7 @@ class TSeries:
             val += lo
             num = tuple(num[lo:hi])
             if den != 1:
-                g = den
-                for x in num:
-                    g = math.gcd(g, x)
-                    if g == 1:
-                        break
+                g = math.gcd(den, *num)
                 if g != 1:
                     den //= g
                     num = tuple(x // g for x in num)
@@ -211,6 +214,14 @@ class TSeries:
         return self.add(other.neg())
 
     def mul(self, other) -> "TSeries":
+        """Product, to order min(Na + vb, Nb + va).
+
+        When the shorter numerator tuple has at most ``_ROW_MAX`` (8) terms,
+        the product is built row by row: each nonzero term of the short
+        factor adds a scaled copy of the long one into the output.  Longer
+        factors take one dot product per output coefficient, which is the
+        faster way from 12-16 short-factor terms on.
+        """
         other = self._coerce(other, self._order)
         # a zero series is O(t**(order + 1)): its valuation counts as order + 1
         va = self._val if self._num else self._order + 1
@@ -223,13 +234,25 @@ class TSeries:
             raise OrderUnderflowError("product has no reliable coefficients")
         n_out = order - lo + 1
         a, b = self._num[:n_out], other._num[:n_out]
+        if len(a) < len(b):
+            a, b = b, a
         la, lb = len(a), len(b)
-        brev = b[::-1]
-        out = []
-        for k in range(min(n_out, la + lb - 1)):
-            i0, i1 = max(0, k - lb + 1), min(k, la - 1)
-            # sum of a[i] * b[k - i] over i0 <= i <= i1
-            out.append(_dot(a[i0:i1 + 1], brev[lb - 1 - k + i0:lb - k + i1]))
+        n = min(n_out, la + lb - 1)
+        if lb <= _ROW_MAX:
+            # b[0] is nonzero (canonical numerators), and la <= n
+            out = list(map(b[0].__mul__, a)) + [0] * (n - la)
+            for j in range(1, lb):
+                c = b[j]
+                if c:
+                    m = min(la, n - j)
+                    out[j:j + m] = map(operator.add, out[j:j + m], map(c.__mul__, a[:m]))
+        else:
+            brev = b[::-1]
+            out = []
+            for k in range(n):
+                i0, i1 = max(0, k - lb + 1), min(k, la - 1)
+                # sum of a[i] * b[k - i] over i0 <= i <= i1
+                out.append(_dot(a[i0:i1 + 1], brev[lb - 1 - k + i0:lb - k + i1]))
         return TSeries._make(lo, out, self._den * other._den, order)
 
     def inverse(self) -> "TSeries":

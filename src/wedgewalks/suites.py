@@ -232,10 +232,11 @@ def suite_funceq(order: int = 30) -> list[Verdict]:
         for p in (1, 2, 3):
             w = weighted_gf(kind, p, order)
             for a, b in points:
-                res = kernel.residual_functional_eq(kind, p, a, b, order, w)
+                f = w.series_at(a, b), w.series_lower(a), w.series_upper(b)
+                res = kernel.residual_functional_eq(kind, p, a, b, order, *f)
                 out.append(_verdict("funceq", "column-construction residual",
                                     order, res, model=kind, p=p, a=a, b=b))
-                resk = kernel.residual_kernel_form(kind, p, a, b, order, w)
+                resk = kernel.residual_kernel_form(kind, p, a, b, order, *f)
                 out.append(_verdict("funceq", "kernel-form residual",
                                     order, resk, model=kind, p=p, a=a, b=b))
     return out

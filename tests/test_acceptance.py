@@ -59,7 +59,8 @@ def test_criterion_03_functional_equation_residuals():
         for p in (1, 2, 3):
             w = weighted_gf(kind, p, 30)
             for a, b in points:
-                res = kernel.residual_functional_eq(kind, p, a, b, 30, w)
+                res = kernel.residual_functional_eq(kind, p, a, b, 30, w.series_at(a, b),
+                                                    w.series_lower(a), w.series_upper(b))
                 if not res.is_zero():
                     bad.append((kind, p, a, b, res.valuation))
     _report("criterion 3 (residuals vanish mod t^31, p in {1,2,3})", not bad,

@@ -390,7 +390,10 @@ class TestReport:
 #: line moved again when B0 began to extrapolate its last two nodes in 1/n;
 #: the verify, report and four identity-backed ledger explain lines moved when
 #: reported notes came to name their ledger entry and explain came to show the
-#: identity's coefficients.  A refactor must leave every one unchanged
+#: identity's coefficients.  The funceq line and the long series lines (a
+#: long x long integer product at order 300, short x long rational products
+#: at a = 2/3) were recorded at 1f3fbdb.  A refactor must leave every one
+#: unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -440,6 +443,9 @@ PINNED = {
     "verify --suite closedform --order 24": "142e9e26d01c31f1",
     "series --kind H_aya_simplified --a 2/3 --order 19 --format json": "2d1d2a530d405895",
     "series --kind theta_asym_p --a -1 --order 12 --format json": "a140b8ce71e0e307",
+    "verify --suite funceq --order 14": "5629c1d75181a684",
+    "series --kind sym_g1 --order 300 --format json": "ebe43a3143ee6b09",
+    "series --kind H_aya_raw --a 2/3 --order 30 --format json": "fac5a0f79d24ec99",
 }
 
 

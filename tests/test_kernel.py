@@ -155,9 +155,9 @@ class TestEachRootBuiltOnce:
                 chain[-1]
 
     def test_foreign_chain_is_refused(self):
-        with pytest.raises(ValueError, match="needs a symmetric chain, got a asymmetric"):
+        with pytest.raises(ValueError, match="needs a symmetric chain, got an asymmetric"):
             kernel.beta_composed(0, kernel.gamma_chain(1, 4, 12), 12)
-        with pytest.raises(ValueError, match="needs a asymmetric chain, got a symmetric"):
+        with pytest.raises(ValueError, match="needs an asymmetric chain, got a symmetric"):
             kernel.gamma_composed(0, kernel.beta_chain(1, 4, 12), 12)
 
     def test_short_input_underflows_where_it_is_truncated(self):
@@ -362,12 +362,15 @@ class TestResiduals:
         ("asymmetric", 3, Fraction(1), Fraction(2, 3)),
     ])
     def test_functional_equation_residual(self, kind, p, a, b):
-        res = kernel.residual_functional_eq(kind, p, a, b, 30, weighted_gf(kind, p, 30))
+        w = weighted_gf(kind, p, 30)
+        res = kernel.residual_functional_eq(kind, p, a, b, 30, w.series_at(a, b),
+                                            w.series_lower(a), w.series_upper(b))
         assert res.is_zero(), res.valuation
 
     def test_kernel_form_residual(self):
-        res = kernel.residual_kernel_form("symmetric", 2, Fraction(1, 2), Fraction(1, 3),
-                                          25, weighted_gf("symmetric", 2, 25))
+        a, b, w = Fraction(1, 2), Fraction(1, 3), weighted_gf("symmetric", 2, 25)
+        res = kernel.residual_kernel_form("symmetric", 2, a, b, 25, w.series_at(a, b),
+                                          w.series_lower(a), w.series_upper(b))
         assert res.is_zero()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wedgewalks.series import (OrderUnderflowError, SeriesError,
+from wedgewalks.series import (_ROW_MAX, OrderUnderflowError, SeriesError,
                                SqrtBranchError, TSeries,
                                ZeroDivisionSeriesError, tpoly)
 
@@ -171,6 +171,10 @@ def ref_add(x, y):
     return order, out
 
 
+def ref_neg(x):
+    return x[0], {k: -c for k, c in x[1].items()}
+
+
 def ref_mul(x, y):
     order = min(x[0] + ref_val(y), y[0] + ref_val(x))
     out = {}
@@ -204,13 +208,19 @@ def as_ref(val, coeffs, order):
     return order, {val + i: Fraction(c) for i, c in enumerate(coeffs) if val + i <= order}
 
 
-# non-unit leading coefficients make the quotient and root recurrences rescale
+# non-unit leading coefficients make the quotient and root recurrences rescale;
+# lists and orders run past twice the row/diagonal crossover of ``mul``, so
+# both factors of a product fall on either side of it
 lead_fractions = st.sampled_from([Fraction(2, 3), Fraction(-5), Fraction(1), Fraction(-7, 4)])
 coeff_lists = st.lists(st.one_of(lead_fractions, st.fractions(
-    min_value=-9, max_value=9, max_denominator=9)), min_size=0, max_size=10)
+    min_value=-9, max_value=9, max_denominator=9)), min_size=0, max_size=2 * _ROW_MAX + 2)
+orders = st.integers(-4, 2 * _ROW_MAX + 6)
+# a scalar operand stands for the constant series at the other operand's order
+scalars = st.sampled_from([0, 3, -1, Fraction(0), Fraction(2, 3), Fraction(-7, 4)])
 
 DIFF_OPS = {
     "add": (lambda a, b, e: a + b, lambda x, y, e: ref_add(x, y)),
+    "sub": (lambda a, b, e: a - b, lambda x, y, e: ref_add(x, ref_neg(y))),
     "mul": (lambda a, b, e: a * b, lambda x, y, e: ref_mul(x, y)),
     "div": (lambda a, b, e: a / b, lambda x, y, e: ref_div(x, y)),
     "inverse": (lambda a, b, e: a.inverse(), lambda x, y, e: ref_pow(x, -1)),
@@ -220,10 +230,14 @@ DIFF_OPS = {
 
 class TestDifferential:
     @given(st.sampled_from(sorted(DIFF_OPS) + ["sqrt"]), st.integers(-3, 3), coeff_lists,
-           st.integers(-3, 3), coeff_lists, st.integers(-4, 12), st.integers(-3, 4))
+           st.integers(-3, 3), coeff_lists, orders, st.integers(-3, 4),
+           st.sampled_from([None, "left", "right"]), scalars)
     @settings(max_examples=400, deadline=None)
-    @example("sqrt", 0, [0, Fraction(-5), Fraction(2, 3)], 0, [], 7, 0)  # a root of valuation 1
-    def test_matches_fraction_schoolbook(self, op, va, ca, vb, cb, n, e):
+    # a root of valuation 1
+    @example("sqrt", 0, [0, Fraction(-5), Fraction(2, 3)], 0, [], 7, 0, None, 0)
+    # a scalar times a Laurent series is known to Na + va
+    @example("mul", -2, [Fraction(2, 3), 1], 0, [], 5, 0, "left", 3)
+    def test_matches_fraction_schoolbook(self, op, va, ca, vb, cb, n, e, side, s):
         if op == "sqrt":
             # the positive branch of the root of p**2 is +-p, to the root's order
             radicand = TSeries(*square((va, ca)), n)
@@ -234,14 +248,34 @@ class TestDifferential:
                           n // 2 if v is None else n - v // 2)
         else:
             a, b = TSeries(va, ca, n), TSeries(vb, cb, n + e)
+            x, y = as_ref(va, ca, n), as_ref(vb, cb, n + e)
+            if side and op in ("add", "sub", "mul", "div"):
+                b, y = s, as_ref(0, [s], n)
+                if side == "left":
+                    a, b, x, y = b, a, y, x
             try:
                 got = DIFF_OPS[op][0](a, b, e)
             except SeriesError:
                 return
-            want = DIFF_OPS[op][1](as_ref(va, ca, n), as_ref(vb, cb, n + e), e)
+            want = DIFF_OPS[op][1](x, y, e)
         assert got.order == want[0]
         lo = min([*want[1], got.valuation or 0, 0])
         assert got.coeffs_upto(got.order, lo) == [want[1].get(k, 0) for k in range(lo, got.order + 1)]
+
+    @pytest.mark.parametrize("ls", range(_ROW_MAX + 3))
+    def test_both_product_paths_match_the_reference(self, ls):
+        # short factors of 0 to _ROW_MAX + 2 terms, against a factor of the
+        # same length and one of 30 terms, with denominators and an order
+        # that cuts the product short
+        for ll in (ls, 30):
+            xs = [Fraction((-1) ** i * (2 * i + 1), 3 + i % 4) for i in range(ls)]
+            ys = [Fraction(5 * i - 7, 2 + i % 3) or 1 for i in range(ll)]
+            order = ll  # drops the long factor's last term, so ls >= 2 truncates
+            short, long = TSeries(-1, xs, order), TSeries(2, ys, order)
+            want = ref_mul(as_ref(-1, xs, order), as_ref(2, ys, order))
+            got = short * long
+            assert got == long * short == TSeries.from_dict(want[1], want[0])
+            assert hash(got) == hash(long * short)
 
     @given(st.integers(-3, 3), coeff_lists, st.integers(0, 12))
     @settings(max_examples=200, deadline=None)
