@@ -428,12 +428,11 @@ def p_pieces_asymptotics(n_max: int = 200, digits: int = 30) -> list[AsymptoticR
 
         # (iii) cancellation of the mu^n constants of the two sum pieces
         def fit_const(series):
-            lo, hi = n_max // 2, n_max
-            s_lo, s_hi = coeff(series, lo) / mu**lo, coeff(series, hi) / mu**hi
-            # model c + d/sqrt(n)
-            rt_lo, rt_hi = 1 / mpmath.sqrt(lo), 1 / mpmath.sqrt(hi)
-            d = (s_lo - s_hi) / (rt_lo - rt_hi)
-            return s_hi - d * rt_hi, d
+            # model c + d/sqrt(n) through n_max/2 and n_max; returns (c, d)
+            ns = (n_max // 2, n_max)
+            rts = [1 / mpmath.sqrt(n) for n in ns]
+            ss = [coeff(series, n) / mu**n for n in ns]
+            return _neville_to_zero(rts, ss), (ss[0] - ss[1]) / (rts[0] - rts[1])
 
         c3, _ = fit_const(p3)
         with mpmath.workdps(30):  # B0 / mu, see ledger entry sqrt-n-constant-pair

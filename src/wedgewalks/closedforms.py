@@ -313,8 +313,8 @@ def gf_H_aya_raw(a, order: int) -> TSeries:
         n2 = (a - beta * t - a * beta * t ** 2
               - beta * TSeries.t_power(4 * n + 1, wn)
               + a * (1 + beta) * TSeries.t_power(4 * n + 2, wn))
-        geo1 = tpoly({2 * j: 1 for j in range(n)} or {0: 0}, wn)
-        geo2 = tpoly({2 * j: 1 for j in range(2 * n)} or {0: 0}, wn)
+        geo1 = tpoly({2 * j: 1 for j in range(n)}, wn)
+        geo2 = tpoly({2 * j: 1 for j in range(2 * n)}, wn)
         d2 = (a + geo1 * (a * (1 - beta) * t ** 2
                           + a * (1 + beta) * TSeries.t_power(2 * n + 2, wn))
               - geo2 * beta * t)

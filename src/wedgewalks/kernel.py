@@ -4,7 +4,7 @@ iterated compositions that solve them.
 Everything here lives after the specialization x = y = t (both step weights
 equal to the length variable); solutions and all verifications happen there.
 Arguments ``a``/``b`` may be exact rationals or series in t; roots in closed
-form exist only for slope p = 1.
+form exist only for slope p = 1, and every one of them is built by ``root``.
 
 The kernel form of the column-construction equation is
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple, Union
 
-from .series import OrderUnderflowError, TSeries
+from .series import OrderUnderflowError, TSeries, tpoly
 
 Arg = Union[int, Fraction, TSeries]
 
@@ -162,7 +162,7 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
         res = _root_quadratic(s, s, sign, w)
     else:
         raise ValueError(f"no {which!r} root for model {kind!r}")
-    if s.valuation is not None and s.valuation >= 0:
+    if s.valuation >= 0:
         want = s.valuation + (1 if sign < 0 else -1)
         if res.order < want:
             raise OrderUnderflowError(
@@ -193,6 +193,8 @@ class Chain:
     """
 
     def __init__(self, kind: str, a: Arg, w: int):
+        if kind not in ("symmetric", "asymmetric"):
+            raise ValueError(f"no root chain for model {kind!r}")
         self.kind, self.order = kind, w
         self._steps = ("beta-",) if kind == "symmetric" else ("beta-", "alpha-")
         self._built = [as_series(a, w)]
@@ -223,7 +225,7 @@ def _beta_closed_inverse(n: int, a: Arg, b1: TSeries) -> TSeries:
     """1/beta_n(a) for the symmetric model, any integer n (three-term
     solution), from b1 = beta_1(a); reliable to b1.order - |n| - 1."""
     w = b1.order
-    one_m_t2 = TSeries.from_dict({0: 1, 2: -1}, w)
+    one_m_t2 = tpoly({0: 1, 2: -1}, w)
     c1 = (TSeries.t_power(1 - n, w) - TSeries.t_power(1 + n, w)) / one_m_t2
     c2 = (TSeries.t_power(2 - n, w) - TSeries.t_power(n, w)) / one_m_t2
     return c1 * b1.inverse() - c2 * as_series(a, w).inverse()
@@ -350,9 +352,9 @@ def mixed_inverse_check(a: Arg, b: Arg, order: int) -> tuple[TSeries, TSeries]:
     (asymmetric)."""
     w = order + 10
     bm = root("asymmetric", "beta+", as_series(a, w), w)
-    lhs1 = _root_quadratic(bm, bm, -1, bm.order)
+    lhs1 = root("asymmetric", "alpha-", bm, bm.order)
     am = root("asymmetric", "alpha+", as_series(b, w), w)
-    lhs2 = _root_asym_b(am, -1, am.order)
+    lhs2 = root("asymmetric", "beta-", am, am.order)
     return lhs1 - as_series(a, lhs1.order), lhs2 - as_series(b, lhs2.order)
 
 

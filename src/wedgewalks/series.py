@@ -114,14 +114,6 @@ class TSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_dict(entries: Mapping[int, Scalar], order: int) -> "TSeries":
-        if not entries:
-            return TSeries(0, [], order)
-        lo = min(entries)
-        hi = max(entries)
-        return TSeries(lo, [entries.get(k, 0) for k in range(lo, hi + 1)], order)
-
-    @staticmethod
     def from_numerators(valuation: int, numerators: list[int], denominator: int,
                         order: int) -> "TSeries":
         """Coefficient ``valuation + k`` is ``numerators[k] / denominator`` (> 0)."""
@@ -449,6 +441,7 @@ class TSeries:
 
 
 def tpoly(entries: Mapping[int, Scalar], order: int) -> TSeries:
-    """Convenience constructor for (Laurent) polynomials."""
-    return TSeries.from_dict(entries, order)
+    """The (Laurent) polynomial sum of c * t^k over ``entries`` {k: c}."""
+    lo, hi = min(entries, default=0), max(entries, default=-1)  # {} gives the zero series
+    return TSeries(lo, [entries.get(k, 0) for k in range(lo, hi + 1)], order)
 

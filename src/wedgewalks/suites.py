@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import closedforms as cf
 from . import discrepancies, kernel
-from .series import TSeries
+from .series import TSeries, tpoly
 from .walks import WedgeModel, count_walks, weighted_gf
 
 
@@ -66,7 +66,7 @@ def _verdict(suite: str, identity: str, order: int, *residuals: TSeries,
 
 
 def _count_series(counts: list[int], order: int) -> TSeries:
-    return TSeries.from_dict(dict(enumerate(counts[: order + 1])), order)
+    return tpoly(dict(enumerate(counts[: order + 1])), order)
 
 
 def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str | None]]:
@@ -271,7 +271,7 @@ def suite_closedform(order: int = 100) -> list[Verdict]:
     # theta sums have the expected leading behavior
     out.append(_verdict("closedform", "alternating theta at the unit argument", 7,
                         cf.theta_sum("sym", 1, 7)
-                        - TSeries.from_dict({0: 1, 4: -1, 6: -3}, 7)))
+                        - tpoly({0: 1, 4: -1, 6: -3}, 7)))
 
     a, o = Fraction(1), min(order, 30)
     for identity, lhs, rhs, ledger in solution_identities(a, o):

@@ -199,17 +199,13 @@ def _wedge_step(band: list, n: int, p: int, w: int, reach: int | None,
             hi = (reach - q * x - 1) // 2  # near(X) - 1
         size = hi - lo + 1
         if size > 0:
-            # lo >= src_lo and lo <= east_lo; a list falls short only where
-            # its source has no cell (a new top cell, or a new column)
+            # lo >= src_lo and hi grows by at most one, so eu and ed (the old column,
+            # stored whole, and one cell) cover the new one; only east falls short
             north = eu[lo - src_lo:hi - src_lo + 1]
             south = ed[lo - src_lo:hi - src_lo + 1]
             east = east_src[:hi - east_lo + 1]
             if east_lo > lo:
                 east = [0] * (east_lo - lo) + east
-            if len(north) < size:
-                north += [0] * (size - len(north))
-            if len(south) < size:
-                south += [0] * (size - len(south))
             if len(east) < size:
                 east += [0] * (size - len(east))
             if mirror and n - x == 2 * hi:
@@ -373,8 +369,6 @@ def _monomial_sum(terms, a, b, order: int) -> TSeries:
     """
     a, b = Fraction(a), Fraction(b)
     terms = [term for term in terms if term[0] <= order]
-    if not terms:
-        return TSeries.zero(order)
     top_i = max(i for _k, _c, i, _j in terms)
     top_j = max(j for _k, _c, _i, j in terms)
     apow = _scaled_powers(a.numerator, a.denominator, top_i)

@@ -1,8 +1,14 @@
 import dataclasses
+import os
 
 import pytest
 
 from wedgewalks.walks import WedgeModel, count_walks, weighted_gf
+
+# the tests that start ``python -m wedgewalks.cli`` import the package from
+# this checkout's src, as pytest's ``pythonpath`` setting does for this process
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -392,7 +392,9 @@ class TestReport:
 #: reported notes came to name their ledger entry and explain came to show the
 #: identity's coefficients.  The funceq line and the long series lines (a
 #: long x long integer product at order 300, short x long rational products
-#: at a = 2/3) were recorded at 1f3fbdb.  A refactor must leave every one
+#: at a = 2/3) were recorded at 1f3fbdb; the wedge counts at p = 4 and 5, the
+#: unbanded weighted series, funceq at order 3, kernel at order 6 and the
+#: two-node p-pieces fit at 4dde380.  A refactor must leave every one
 #: unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
@@ -446,6 +448,12 @@ PINNED = {
     "verify --suite funceq --order 14": "5629c1d75181a684",
     "series --kind sym_g1 --order 300 --format json": "ebe43a3143ee6b09",
     "series --kind H_aya_raw --a 2/3 --order 30 --format json": "fac5a0f79d24ec99",
+    "count --model symmetric --p 5 --n 60 --format json": "d7f50b89558e9485",
+    "count --model asymmetric --p 4 --n 60 --format json": "fa89c1270f432ec0",
+    "series --kind weighted --model symmetric --p 3 --order 20": "81f8b1bb005fa5ba",
+    "verify --suite funceq --order 3": "9bd3290cb7a68e8a",
+    "verify --suite kernel --order 6": "a7370124b9fa77b3",
+    "asympt --const p-pieces --nmax 2": "a8e13793c87f081e",
 }
 
 

@@ -14,7 +14,7 @@ from wedgewalks.series import TSeries, tpoly
 
 
 def _count_series(table, order):
-    return TSeries.from_dict(dict(enumerate(table.counts[: order + 1])), order)
+    return tpoly(dict(enumerate(table.counts[: order + 1])), order)
 
 
 # -- reference implementations: every term from scratch at full order -------
@@ -382,7 +382,7 @@ class TestInterpretations:
         # the undivided composition Q(alpha_1(1)) matches the valuation of
         # t^3 (B_diag - 1) but differs at t^7 (3 vs 2)
         diag = tables("boundary_diag", 12)
-        bs = TSeries.from_dict({n: c for n, c in enumerate(diag.counts)}, 12)
+        bs = tpoly({n: c for n, c in enumerate(diag.counts)}, 12)
         composed = kernel.p_asym(1, 10).shift(2)
         rhs = (TSeries.t_power(3, 12) * (bs - 1)).truncate(10)
         assert composed.coeff(5) == rhs.coeff(5) == 1

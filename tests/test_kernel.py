@@ -123,12 +123,12 @@ class TestEachRootBuiltOnce:
         suites.suite_kernel(6)
         assert calls == {
             # 16 beta-root checks, 3 alpha-root checks, 2 roots for each of
-            # 3 group laws, 2 for the mixed-inverse check; the
+            # 3 group laws, 4 for the mixed-inverse check; the
             # compositions: beta_1(a) once, 6 symmetric chain elements, Q(a)
             # once (1 root) and 8 asymmetric chain elements; 5 Qbar Q pairs
             # (2 roots each), 3 printed forms (P(1) takes 2), 3 script
             # depths (2 + 4 + 6 chain elements, 1 Q(a) each)
-            "root": 16 + 3 + 3 * 2 + 2 + (1 + 6 + 1 + 8) + 5 * 2 + 4 + (12 + 3),
+            "root": 16 + 3 + 3 * 2 + 4 + (1 + 6 + 1 + 8) + 5 * 2 + 4 + (12 + 3),
             # one for the gamma closed forms, 5 Q(a) in Qbar Q, Q_asym(1)
             # and P(1), one per script depth
             "q_asym": 1 + 5 + 2 + 3,
@@ -159,6 +159,8 @@ class TestEachRootBuiltOnce:
             kernel.beta_composed(0, kernel.gamma_chain(1, 4, 12), 12)
         with pytest.raises(ValueError, match="needs an asymmetric chain, got a symmetric"):
             kernel.gamma_composed(0, kernel.beta_chain(1, 4, 12), 12)
+        with pytest.raises(ValueError, match="no root chain for model 'bogus'"):
+            kernel.Chain("bogus", 1, 4)
 
     def test_short_input_underflows_where_it_is_truncated(self):
         with pytest.raises(OrderUnderflowError, match="reliable order 11 to 12"):

@@ -9,7 +9,7 @@ import pytest
 from wedgewalks import closedforms as cf
 from wedgewalks import walks
 from wedgewalks.errors import BudgetError
-from wedgewalks.series import TSeries
+from wedgewalks.series import tpoly
 from wedgewalks.walks import (KINDS, WedgeModel, brute_force_counts,
                               brute_force_oracle, count_walks, weighted_gf)
 
@@ -289,7 +289,7 @@ class TestWeighted:
             for k, c in monomials:
                 if k <= w.order:
                     coeffs[k] = coeffs.get(k, Fraction(0)) + c
-            return TSeries.from_dict(coeffs, w.order)
+            return tpoly(coeffs, w.order)
 
         for a in values:
             assert w.series_lower(a) == fraction_sum(
