@@ -4,7 +4,8 @@ iterated compositions that solve them.
 Everything here lives after the specialization x = y = t (both step weights
 equal to the length variable); solutions and all verifications happen there.
 Arguments ``a``/``b`` may be exact rationals or series in t; roots in closed
-form exist only for slope p = 1, and every one of them is built by ``root``.
+form exist only for slope p = 1, and every one of them is built by ``root``
+from ``_slot``, the one description of the p = 1 kernel in each root slot.
 
 The kernel form of the column-construction equation is
 
@@ -98,42 +99,27 @@ def kernel_p1_printed(a: Arg, b: Arg, order: int) -> TSeries:
     t = tvar(order)
     a = as_series(a, order)
     b = as_series(b, order)
-    qa, qb, qc = _quad_sym(a, t)
-    return qa * b * b + qb * b + qc
-
-
-def _quad_sym(a: TSeries, t: TSeries) -> tuple[TSeries, TSeries, TSeries]:
-    """Symmetric p=1 kernel as A*b^2 + B*b + C."""
-    a2 = a * a
-    qa = t * t * t * a2 - t * a2 - t
-    qb = (1 + t * t) * a
-    qc = -t * a2
-    return qa, qb, qc
+    p, l = _slot("symmetric", "beta", a, t)
+    return -(t * l) * b * b + p * a * b - t * a * a
 
 
 # -- roots (p = 1) ----------------------------------------------------------
 
-def _root_quadratic(m: TSeries, c: TSeries, sign: int, order: int) -> TSeries:
-    """m (1 + t^2 + sign sqrt((1-t^2)(1-t^2-4t^2 c))) / (2t (1 + c (1-t^2))).
+#: the (model, slot) pairs that have kernel roots
+_SLOTS = (("symmetric", "beta"), ("asymmetric", "beta"), ("asymmetric", "alpha"))
 
-    The symmetric beta roots take m = a, c = a^2; the asymmetric alpha
-    roots take m = c = b.
+
+def _slot(kind: str, slot: str, m: TSeries, t: TSeries) -> tuple[TSeries, TSeries]:
+    """(P, L) of the p = 1 kernel of ``kind`` in the unknown x of ``slot``.
+
+    x sits in ``slot`` ("beta": the second argument, "alpha": the first) and
+    m in the other one; the kernel is then -t L x^2 + P m x - t m^2.
     """
-    t = tvar(order)
-    rad = (1 - t * t) * (1 - t * t - 4 * (t * t) * c)
-    s = rad.sqrt()
-    num = m * (1 + t * t + sign * s) * Fraction(1, 2)
-    den = t * (1 + c * (1 - t * t))
-    return num / den
-
-
-def _root_asym_b(a: TSeries, sign: int, order: int) -> TSeries:
-    t = tvar(order)
-    ta = t * a
-    rad = (1 - t * t) * ((1 - ta) ** 2 - t * t * (1 + ta) ** 2)
-    s = rad.sqrt()
-    bracket = 1 + t * t - t * (1 - t * t) * a + sign * s
-    return a * bracket / (2 * t)
+    if slot == "alpha":
+        return 1 + t * t, 1 + m * (1 - t * t)
+    if kind == "symmetric":
+        return 1 + t * t, 1 + m * m * (1 - t * t)
+    return 1 + t * t - t * (1 - t * t) * m, TSeries.constant(1, t.order)
 
 
 def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
@@ -153,15 +139,13 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
         if isinstance(arg, TSeries):
             raise OrderUnderflowError(f"root argument is zero to its order {s.order}")
         raise ValueError("root argument must be nonzero")
-    sign = -1 if which.endswith("-") else +1
-    if kind == "symmetric" and which in ("beta-", "beta+"):
-        res = _root_quadratic(s, s * s, sign, w)
-    elif kind == "asymmetric" and which in ("beta-", "beta+"):
-        res = _root_asym_b(s, sign, w)
-    elif kind == "asymmetric" and which in ("alpha-", "alpha+"):
-        res = _root_quadratic(s, s, sign, w)
-    else:
+    slot, sign = which[:-1], {"-": -1, "+": +1}.get(which[-1:])
+    if sign is None or (kind, slot) not in _SLOTS:
         raise ValueError(f"no {which!r} root for model {kind!r}")
+    t = tvar(w)
+    p, l = _slot(kind, slot, s, t)
+    # the two roots of -t L x^2 + P s x - t s^2
+    res = s * (p + sign * (p * p - 4 * (t * t) * l).sqrt()) / (2 * t * l)
     if s.valuation >= 0:
         want = s.valuation + (1 if sign < 0 else -1)
         if res.order < want:
@@ -251,9 +235,10 @@ def beta_composed(n: int, chain: Chain, order: int) -> TSeries:
 
     Positive n reads element n of the chain.  Negative n walks the kernel
     quadratic downward: the two roots of K(beta_m, .) are exactly beta_{m-1}
-    and beta_{m+1}, so beta_{m-1} = C(beta_m) / (A(beta_m) * beta_{m+1});
-    this stays inside rational series where the explicit plus-branch formula
-    would need square roots that leave the field.
+    and beta_{m+1}, whose product is beta_m^2 / L(beta_m) (``_slot``), so
+    beta_{m-1} = beta_m^2 / (L(beta_m) beta_{m+1}); this stays inside
+    rational series where the explicit plus-branch formula would need square
+    roots that leave the field.
     """
     if chain.kind != "symmetric":
         raise ValueError(f"needs a symmetric chain, got an {chain.kind} chain")
@@ -262,8 +247,8 @@ def beta_composed(n: int, chain: Chain, order: int) -> TSeries:
     t = tvar(chain.order)
     cur, upper = chain[0], chain[1]  # beta_m and beta_{m+1} with m = 0
     for _ in range(-n):
-        qa, _qb, qc = _quad_sym(cur, t)
-        upper, cur = cur, qc / (qa * upper)
+        _p, l = _slot("symmetric", "beta", cur, t)
+        upper, cur = cur, cur * cur / (l * upper)
     return cur.truncate(order)
 
 
@@ -336,9 +321,12 @@ def group_law_check(n: int, a: Arg, order: int) -> list[tuple[str, tuple[TSeries
     checks.append(("beta_-1(beta_1(a)) = a", (back - as_series(a, back.order),)))
 
     if m_hi >= 1:
-        qa, qb, qc = _quad_sym(ladder[-1], t)
-        sum_res = qb + qa * (as_series(a, w) + ladder[-2])
-        prod_res = qc - qa * as_series(a, w) * ladder[-2]
+        m = ladder[-1]
+        p, l = _slot("symmetric", "beta", m, t)
+        # B + A (x1 + x2) and C - A x1 x2 for the kernel A x^2 + B x + C,
+        # (A, B, C) = (-t L, P m, -t m^2), with roots x1 = a, x2 = beta_-2
+        sum_res = p * m - t * l * (as_series(a, w) + ladder[-2])
+        prod_res = t * l * as_series(a, w) * ladder[-2] - t * m * m
         checks.append(("roots of K(beta_-1, .) are {a, beta_-2}", (sum_res, prod_res)))
 
     if m_hi >= 2:

@@ -394,8 +394,9 @@ class TestReport:
 #: long x long integer product at order 300, short x long rational products
 #: at a = 2/3) were recorded at 1f3fbdb; the wedge counts at p = 4 and 5, the
 #: unbanded weighted series, funceq at order 3, kernel at order 6 and the
-#: two-node p-pieces fit at 4dde380.  A refactor must leave every one
-#: unchanged
+#: two-node p-pieces fit at 4dde380; the five root-path lines (negative,
+#: non-unit and series root arguments in each kernel slot, and kernel at
+#: order 2) at 0c6667e.  A refactor must leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -454,6 +455,11 @@ PINNED = {
     "verify --suite funceq --order 3": "9bd3290cb7a68e8a",
     "verify --suite kernel --order 6": "a7370124b9fa77b3",
     "asympt --const p-pieces --nmax 2": "a8e13793c87f081e",
+    "series --kind F_aya --a -1/2 --order 20 --format json": "93be6a27c09e189c",
+    "series --kind H_aya_raw --a -2/3 --order 18 --format json": "08a0531fe2dc157a",
+    "series --kind theta_asym_p --a 7/3 --order 18 --format json": "869fd6c6acd220b1",
+    "series --kind theta_asym_q --a -1 --order 20 --format json": "dd85b3a6f6d5b51f",
+    "verify --suite kernel --order 2": "85dff8476ea4e803",
 }
 
 

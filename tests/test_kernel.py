@@ -20,6 +20,18 @@ class TestKernelCoeffs:
             rhs = kernel.kernel_coeffs("symmetric", 1, a, b, 20).kernel
             assert lhs.same(rhs)
 
+    @pytest.mark.parametrize("m", kernel.SAMPLE_ARGS + (Fraction(-1, 2), Fraction(-1)))
+    @pytest.mark.parametrize("kind,slot", [("symmetric", "beta"), ("asymmetric", "beta"),
+                                           ("asymmetric", "alpha")])
+    def test_slot_is_the_p1_kernel(self, kind, slot, m):
+        # -t L x^2 + P m x - t m^2 with the unknown x in the slot, m in the other
+        t, ms, x = (kernel.tvar(12), TSeries.constant(m, 12),
+                    TSeries.constant(Fraction(3, 7), 12))
+        p, l = kernel._slot(kind, slot, ms, t)
+        quadratic = -(t * l) * x * x + p * ms * x - t * ms * ms
+        a, b = (x, ms) if slot == "alpha" else (ms, x)
+        assert quadratic == kernel.kernel_coeffs(kind, 1, a, b, 12).kernel
+
     def test_kernel_at_unit_arguments(self):
         k = kernel.kernel_p1_printed(1, 1, 8)
         assert k.same(tpoly({0: 1, 1: -3, 2: 1, 3: 1}, 8))
@@ -81,6 +93,13 @@ class TestRoots:
         b2 = kernel.root("symmetric", "beta-", b1, b1.order)
         assert b2.same(kernel.beta_closed(2, 1, kernel.beta_closed_input(1, b2.order),
                                           b2.order))
+
+    def test_branch_selection_error(self):
+        # at b = -1 the alpha slot's L = 1 + b(1 - t^2) is t^2, so alpha+ has
+        # valuation -3
+        with pytest.raises(kernel.BranchSelectionError,
+                           match="alpha\\+ branch has valuation -3, expected -1"):
+            kernel.root("asymmetric", "alpha+", -1, 10)
 
     def test_alpha_requires_asymmetric(self):
         with pytest.raises(ValueError):
