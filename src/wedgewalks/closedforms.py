@@ -21,9 +21,9 @@ from .series import TSeries, tpoly
 _MAX_ORDER = 1200
 
 
-def _pell_inverse(order: int) -> TSeries:
-    """1/(1 - 2t - t^2)."""
-    return TSeries.constant(1, order) / tpoly({0: 1, 1: -2, 2: -1}, order)
+def _pell(order: int) -> TSeries:
+    """1 - 2t - t^2, the pole of the p = 1 closed forms: each divides by it."""
+    return tpoly({0: 1, 1: -2, 2: -1}, order)
 
 
 def _sym_radical(order: int) -> TSeries:
@@ -33,7 +33,7 @@ def _sym_radical(order: int) -> TSeries:
 
 def _asym_radical(order: int) -> TSeries:
     """sqrt((1 - t^4)(1 - 2t - t^2))."""
-    return (tpoly({0: 1, 4: -1}, order) * tpoly({0: 1, 1: -2, 2: -1}, order)).sqrt()
+    return (tpoly({0: 1, 4: -1}, order) * _pell(order)).sqrt()
 
 
 def printed_q_sym(order: int) -> TSeries:
@@ -49,28 +49,34 @@ def printed_q_asym(order: int) -> TSeries:
             * Fraction(1, 2)).truncate(order)
 
 
-def alternating_theta(q: TSeries, order: int) -> TSeries:
+def alternating_theta(q: TSeries, relation: tuple[TSeries, TSeries],
+                      order: int) -> TSeries:
     """sum((-1)^n t^(n^2) q^n); term n has valuation n^2 + n*val(q).
 
-    The sum is exact to order min(order, q.order + 1).  q^n is carried
-    forward as q^(n-1) * q; before each product both factors are truncated
-    to the order that term n needs, the sum's order less n^2, so no product
-    computes a coefficient that the sum cannot use.
+    ``relation`` is (A, C) with q^2 = A q - C (``kernel.q_relation``),
+    reliable to ``order``.  The sum is exact to order min(order,
+    q.order + 1).  In that quadratic field q^n = U_n + V_n q, with
+    U_(n+1) = -C V_n and V_(n+1) = U_n + A V_n; the kernel's A and C are
+    short, so each step is a short product.  The sum is P_0 + P_1 q, where
+    P_0 and P_1 sum (-1)^n t^(n^2) U_n and (-1)^n t^(n^2) V_n, and P_1 q is
+    its one long product.
     """
     vq = q.valuation
     if vq is None or vq <= 0:
         raise ValueError("theta argument must have positive valuation")
-    acc = TSeries.constant(1, order)
+    big_a, c = relation
     top = min(order, q.order + 1)
+    p0, p1 = TSeries.constant(1, top), TSeries.zero(top)
+    u, v = TSeries.zero(top), TSeries.constant(1, top)  # q^1 = 0 + 1 q
     n = 1
-    qp = TSeries.constant(1, top)
     while n * n + n * vq <= top:
-        rel = top - n * n - n * vq  # order of term n past its valuation
-        qp = qp.truncate((n - 1) * vq + rel) * q.truncate(vq + rel)
-        term = qp.shift(n * n)
-        acc = acc + (term if n % 2 == 0 else term.neg())
+        if n % 2:
+            p0, p1 = p0 - u.shift(n * n), p1 - v.shift(n * n)
+        else:
+            p0, p1 = p0 + u.shift(n * n), p1 + v.shift(n * n)
+        u, v = -(c * v), u + big_a * v
         n += 1
-    return acc.truncate(min(order, acc.order))
+    return (p0 + p1 * q).truncate(top)
 
 
 def _ratio_theta_terms(q: TSeries, order: int) -> Iterator[TSeries]:
@@ -118,7 +124,7 @@ def ratio_theta(q: TSeries, order: int) -> TSeries:
 
 
 def gf_free(order: int) -> TSeries:
-    return (tpoly({0: 1, 1: 1}, order) * _pell_inverse(order)).truncate(order)
+    return (tpoly({0: 1, 1: 1}, order) / _pell(order)).truncate(order)
 
 
 def gf_dyck(order: int) -> TSeries:
@@ -130,20 +136,18 @@ def gf_dyck(order: int) -> TSeries:
 def gf_sym_f1(order: int) -> TSeries:
     """Horizontal-ending walks in the symmetric unit wedge."""
     w = order + 6
-    s = alternating_theta(printed_q_sym(w), w)
-    pole = _pell_inverse(w)
-    res = (tpoly({0: 1, 1: -1}, w) * pole
-           - (tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) * pole * s)
+    s = alternating_theta(printed_q_sym(w), kernel.q_relation("symmetric", 1, w), w)
+    res = (tpoly({0: 1, 1: -1}, w)
+           - (tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) * s) / _pell(w)
     return res.truncate(order)
 
 
 def gf_sym_g1(order: int) -> TSeries:
     """All walks in the symmetric unit wedge."""
     w = order + 6
-    s = alternating_theta(printed_q_sym(w), w)
-    pole = _pell_inverse(w)
-    res = (tpoly({0: 1, 1: 1}, w) * pole
-           - ((tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) / tvar(w)) * pole * s)
+    s = alternating_theta(printed_q_sym(w), kernel.q_relation("symmetric", 1, w), w)
+    res = (tpoly({0: 1, 1: 1}, w)
+           - ((tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) / tvar(w)) * s) / _pell(w)
     return res.truncate(order)
 
 
@@ -159,14 +163,12 @@ def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSerie
     """
     w = order + 8
     q = printed_q_asym(w)
-    pole = _pell_inverse(w)
-    one_m_t2 = tpoly({0: 1, 2: -1}, w)
-    pref = -(q * one_m_t2 * pole).shift(-2)
-    p1 = ((tpoly({0: 1, 1: -2, 2: 1}, w) - _sym_radical(w)) * pole
-          * Fraction(1, 2))
+    pell, one_m_t2 = _pell(w), tpoly({0: 1, 2: -1}, w)
+    pref = -(q * one_m_t2 / pell).shift(-2)
+    p1 = (tpoly({0: 1, 1: -2, 2: 1}, w) - _sym_radical(w)) / pell * Fraction(1, 2)
     p2 = pref * ratio_theta(q, w)
     # P(1) has the printed closed form of the symmetric Q(1)
-    p3 = one_m_t2 * pole * ratio_theta(printed_q_sym(w), w)
+    p3 = one_m_t2 * ratio_theta(printed_q_sym(w), w) / pell
     middle = ((pref * term).truncate(order) for term in _ratio_theta_terms(q, w))
     return p1.truncate(order), p2.truncate(order), p3.truncate(order), middle
 
@@ -254,7 +256,9 @@ def theta_sum(kind: str, arg, order: int) -> TSeries:
     Q(arg) of the symmetric model, 'asym_q'/'asym_p' the ratio sum over the
     asymmetric Q or P."""
     if kind == "sym":
-        return alternating_theta(kernel.q_sym(arg, order + 4), order)
+        w = order + 4
+        return alternating_theta(kernel.q_sym(arg, w), kernel.q_relation("symmetric", arg, w),
+                                 order)
     if kind == "asym_q":
         return ratio_theta(kernel.q_asym(arg, order + 4), order)
     if kind == "asym_p":
@@ -266,7 +270,7 @@ def gf_F_aya(a, order: int) -> TSeries:
     """F(a, t*a) for the symmetric model: (1 + Q/t) * alternating theta sum."""
     w = order + 6
     q = kernel.q_sym(a, w)
-    res = (1 + q.shift(-1)) * alternating_theta(q, w)
+    res = (1 + q.shift(-1)) * alternating_theta(q, kernel.q_relation("symmetric", a, w), w)
     return res.truncate(order)
 
 

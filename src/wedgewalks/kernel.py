@@ -131,7 +131,10 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
     are the formal-power-series ones with leading term t*arg; the ``+``
     branches are their Laurent inverses with valuation val(arg) - 1.  A
     series argument too short to fix the root's leading term raises
-    OrderUnderflowError.
+    OrderUnderflowError.  For a Laurent argument the leading terms differ
+    from these, and a branch is the root of larger (``-``) or smaller
+    (``+``) valuation; when both roots have one valuation (beta of a
+    valuation -1 argument, symmetric), BranchSelectionError refuses it.
     """
     w = order + 6
     s = as_series(arg, w)
@@ -146,7 +149,19 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
     p, l = _slot(kind, slot, s, t)
     # the two roots of -t L x^2 + P s x - t s^2
     res = s * (p + sign * (p * p - 4 * (t * t) * l).sqrt()) / (2 * t * l)
-    if s.valuation >= 0:
+    if s.valuation < 0:
+        # the roots' product is s^2 / L: the branch must be the root of
+        # strictly larger (-) or smaller (+) valuation than the other one
+        if res.is_zero():
+            raise OrderUnderflowError(f"{which} branch is zero to its order {res.order}")
+        other = 2 * s.valuation - l.valuation - res.valuation
+        if sign * (other - res.valuation) <= 0:
+            raise BranchSelectionError(
+                f"{which} branch of an argument of valuation {s.valuation} has "
+                f"valuation {res.valuation}, not {'above' if sign < 0 else 'below'} "
+                f"the other root's {other}"
+            )
+    else:
         want = s.valuation + (1 if sign < 0 else -1)
         if res.order < want:
             raise OrderUnderflowError(
@@ -355,16 +370,43 @@ def _q_inputs(kind: str, a: Arg, order: int) -> tuple[TSeries, TSeries, TSeries]
     return tvar(w), s, root(kind, "beta-", s, w)
 
 
+def _q_form(kind: str, s: TSeries, t: TSeries) -> tuple[TSeries, TSeries]:
+    """(alpha, gamma) with Q(a) = alpha + gamma / beta_1(a) at a = s."""
+    if kind == "symmetric":
+        return (t * s * s).inverse() - t, -s.inverse()
+    return s.inverse() - t, -t
+
+
 def q_sym(a: Arg, order: int) -> TSeries:
     """Q(a) = 1/(x a^2) - y/(x a beta_1(a)) - y for the symmetric model."""
     t, s, b1 = _q_inputs("symmetric", a, order)
-    return ((t * s * s).inverse() - (s * b1).inverse() - t).truncate(order)
+    alpha, gamma = _q_form("symmetric", s, t)
+    return (alpha + gamma * b1.inverse()).truncate(order)
 
 
 def q_asym(a: Arg, order: int) -> TSeries:
     """Q(a) = 1/a - y/beta_1(a) - x for the asymmetric model."""
     t, s, b1 = _q_inputs("asymmetric", a, order)
-    return (s.inverse() - t * b1.inverse() - t).truncate(order)
+    alpha, gamma = _q_form("asymmetric", s, t)
+    return (alpha + gamma * b1.inverse()).truncate(order)
+
+
+def q_relation(kind: str, a: Arg, order: int) -> tuple[TSeries, TSeries]:
+    """(A, C) with Q(a)^2 = A Q(a) - C, to ``order``.
+
+    z = 1/beta_1(a) solves t a^2 z^2 - P a z + t L = 0 (the beta-slot
+    kernel of ``_slot`` over x^2), and Q = alpha + gamma z (``_q_form``), so
+    A = 2 alpha + P gamma / (t a) and C = alpha (A - alpha) + L (gamma / a)^2.
+    Symmetric: A = (1 - t^2)/(t a^2) - 2t, C = t^2; asymmetric:
+    A = (1 - t^2)/a - t - t^3, C = t^4.  At a rational a both are short.
+    """
+    w = order + 4
+    t, s = tvar(w), as_series(a, w)
+    alpha, gamma = _q_form(kind, s, t)
+    p, l = _slot(kind, "beta", s, t)
+    big_a = 2 * alpha + p * gamma / (t * s)
+    c = alpha * (big_a - alpha) + l * (gamma / s) ** 2
+    return big_a.truncate(order), c.truncate(order)
 
 
 def qbar_asym(a: Arg, order: int) -> TSeries:

@@ -55,7 +55,9 @@ class SqrtBranchError(SeriesError):
 #: ``mul`` adds one scaled row per term of a factor this short, and takes one
 #: dot product per output coefficient otherwise.  Rows win up to 8 terms (a
 #: 1 x 30 product in a fifth of the time) and lose from 12 to 16 terms on, by
-#: up to 1.2-1.4x for long x long (ROADMAP, "Measured limits")
+#: up to 1.2-1.4x for long x long (ROADMAP, "Measured limits").  ``sqrt``
+#: picks its path on the same threshold: a radicand this short takes its
+#: linear recurrence, a longer one the convolution
 _ROW_MAX = 8
 
 
@@ -318,7 +320,12 @@ class TSeries:
         """Square-root branch with positive leading coefficient.
 
         Requires even valuation and a leading coefficient that is the square
-        of a rational.  The unit part u has root s with s_0 = sqrt(u_0) and
+        of a rational.  The unit part u has root s with s_0 = sqrt(u_0).
+        When u has at most ``_ROW_MAX`` (8) terms, the threshold on which
+        ``mul`` builds rows, s follows the linear recurrence of
+        2 u s' = u' s,
+        s_k = sum(u_j * (3j - 2k) * s_(k-j) for 0 < j < len(u)) / (2k * u_0),
+        at len(u) products per coefficient; a longer u takes the convolution
         s_k = (u_k - sum(s_j * s_(k-j) for 0 < j < k)) / (2 * s_0).
         """
         if self.is_zero():
@@ -331,19 +338,25 @@ class TSeries:
         rn, rd = math.isqrt(max(lead.numerator, 0)), math.isqrt(lead.denominator)
         if lead < 0 or rn * rn != lead.numerator or rd * rd != lead.denominator:
             raise SqrtBranchError(f"leading coefficient {lead} is not a rational square")
-        # s_k = S_k / d over one running denominator d, a multiple of rd:
-        # s_k = t / (2 * (rn / rd) * du * d**2) with t = u_k * d**2 - du * sum(S_j S_(k-j)),
-        # so S_k = t / m with m = 2 * rn * du * (d / rd), and d grows only when m
-        # does not divide t
+        # s_k = S_k / d over one running denominator d, a multiple of rd, and
+        # S_k = t / m, where d grows only when m does not divide t.  The
+        # recurrence has t = sum(u_j (3j - 2k) S_(k-j)) and m = 2k u_0 (du
+        # cancels); the convolution has t = u_k d^2 - du sum(S_j S_(k-j)) and
+        # m = 2 rn du (d / rd), from s_k = t / (2 (rn / rd) du d^2)
         rel = self._order - self._val
+        short = [(j, c) for j, c in enumerate(u[1:], 1) if c] if len(u) <= _ROW_MAX else None
         out, d = [rn], rd
         for k in range(1, rel + 1):
-            h = (k - 1) // 2
-            c = 2 * _dot(out[1:h + 1], out[k - 1:k - h - 1:-1])
-            if k % 2 == 0:
-                c += out[k // 2] ** 2
-            t = (u[k] if k < len(u) else 0) * d * d - du * c
-            m = 2 * rn * du * (d // rd)
+            if short is not None:
+                t = sum(c * (3 * j - 2 * k) * out[k - j] for j, c in short if j <= k)
+                m = 2 * k * u[0]
+            else:
+                h = (k - 1) // 2
+                c = 2 * _dot(out[1:h + 1], out[k - 1:k - h - 1:-1])
+                if k % 2 == 0:
+                    c += out[k // 2] ** 2
+                t = (u[k] if k < len(u) else 0) * d * d - du * c
+                m = 2 * rn * du * (d // rd)
             sk, r = divmod(t, m)
             if r:
                 g = math.gcd(t, m)

@@ -396,7 +396,9 @@ class TestReport:
 #: unbanded weighted series, funceq at order 3, kernel at order 6 and the
 #: two-node p-pieces fit at 4dde380; the five root-path lines (negative,
 #: non-unit and series root arguments in each kernel slot, and kernel at
-#: order 2) at 0c6667e.  A refactor must leave every one unchanged
+#: order 2) at 0c6667e; the order-300 asymmetric pieces and symmetric theta
+#: sum at a = 1/2 (radical recurrences and more than four theta terms) at
+#: 3ee6b84.  A refactor must leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -460,6 +462,8 @@ PINNED = {
     "series --kind theta_asym_p --a 7/3 --order 18 --format json": "869fd6c6acd220b1",
     "series --kind theta_asym_q --a -1 --order 20 --format json": "dd85b3a6f6d5b51f",
     "verify --suite kernel --order 2": "85dff8476ea4e803",
+    "series --kind asym_h1 --order 300 --format json": "c81edf507c42ba82",
+    "series --kind theta_sym --a 1/2 --order 300 --format json": "cc692f626ccadca3",
 }
 
 

@@ -10,7 +10,7 @@ from wedgewalks import cli
 from wedgewalks import closedforms as cf
 from wedgewalks import kernel, suites
 from wedgewalks.errors import BudgetError
-from wedgewalks.series import TSeries, tpoly
+from wedgewalks.series import _ROW_MAX, TSeries, tpoly
 
 
 def _count_series(table, order):
@@ -103,9 +103,10 @@ ORDERS = (0, 1, 2, 7, 24, 60)
 
 
 def _theta_arguments():
-    """q builders (from the order) with rational coefficients: valuations 1,
-    2 and 3 known beyond the sum's order or below it, a q whose n = 0
-    bracket is Laurent (q = -t + ...), and the printed asymmetric Q at 2/3."""
+    """q builders (from the order) for the ratio sum, with rational
+    coefficients: valuations 1, 2 and 3 known beyond the sum's order or below
+    it, a q whose n = 0 bracket is Laurent (q = -t + ...), and the printed
+    asymmetric Q at 2/3."""
     out = []
     for v in (1, 2, 3):
         entries = {v: Fraction(3, 2), v + 1: Fraction(-2, 5), v + 2: 1, v + 4: Fraction(7, 3)}
@@ -117,6 +118,28 @@ def _theta_arguments():
         id="laurent-bracket"))
     out.append(pytest.param(lambda order: kernel.q_asym(Fraction(2, 3), order + 4),
                             id="q_asym-2/3"))
+    return out
+
+
+def _relation_arguments():
+    """(q, (A, C)) builders (from the order) for the alternating sum, where
+    q^2 = A q - C: the kernel Q of each model at 1, 2/3 and -1/2, the printed
+    Q's, and a symmetric Q at 1/2 built below the sum's order."""
+    out = []
+    for kind, q_of in (("symmetric", kernel.q_sym), ("asymmetric", kernel.q_asym)):
+        for a in (Fraction(1), Fraction(2, 3), Fraction(-1, 2)):
+            out.append(pytest.param(
+                lambda order, k=kind, f=q_of, a=a: (f(a, order + 4),
+                                                    kernel.q_relation(k, a, order + 4)),
+                id=f"{kind}-{a}"))
+    for kind, printed in (("symmetric", cf.printed_q_sym), ("asymmetric", cf.printed_q_asym)):
+        out.append(pytest.param(
+            lambda order, k=kind, f=printed: (f(order + 4), kernel.q_relation(k, 1, order + 4)),
+            id=f"printed-{kind}"))
+    out.append(pytest.param(
+        lambda order: (kernel.q_sym(Fraction(1, 2), max(3, order - 3)),
+                       kernel.q_relation("symmetric", Fraction(1, 2), order + 4)),
+        id="symmetric-1/2-short"))
     return out
 
 
@@ -206,9 +229,15 @@ class TestAgainstReference:
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("make_q", _theta_arguments())
     def test_theta_sums(self, make_q, order):
+        # these q's satisfy no short quadratic, so only the ratio sum takes them
         q = make_q(order)
         assert cf.ratio_theta(q, order).to_json() == _reference_ratio_theta(q, order).to_json()
-        assert (cf.alternating_theta(q, order).to_json()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("make_q", _relation_arguments())
+    def test_alternating_theta(self, make_q, order):
+        q, relation = make_q(order)
+        assert (cf.alternating_theta(q, relation, order).to_json()
                 == _reference_alternating_theta(q, order).to_json())
 
     @pytest.mark.parametrize("order", ORDERS)
@@ -229,7 +258,8 @@ class TestAgainstReference:
         # sum; past the last summand drawn, that product is zero to ``order``
         w = order + 8
         q = cf.printed_q_asym(w)
-        pref = -(q * tpoly({0: 1, 2: -1}, w) * cf._pell_inverse(w)).shift(-2)
+        pole = TSeries.constant(1, w) / tpoly({0: 1, 1: -2, 2: -1}, w)
+        pref = -(q * tpoly({0: 1, 2: -1}, w) * pole).shift(-2)
         _p1, p2, _p3, middle = cf.gf_h1_pieces(order)
         summands = list(middle)
         assert len(summands) == drawn
@@ -263,10 +293,28 @@ class TestWorkBounds:
 
     def test_theta_sums_carry_powers(self, monkeypatch):
         q = kernel.q_asym(1, 124)
+        relation = kernel.q_relation("asymmetric", 1, 124)
         calls = _count_calls(monkeypatch, "pow")
         cf.ratio_theta(q, 120)
-        cf.alternating_theta(q, 120)
+        cf.alternating_theta(q, relation, 120)
         assert calls["pow"] == 0
+
+    @pytest.mark.parametrize("order", [120, 600])
+    def test_alternating_theta_makes_one_long_product(self, monkeypatch, order):
+        # U_n and V_n take short products by A and C; only P_1 * q is long
+        q = cf.printed_q_sym(order + 4)
+        relation = kernel.q_relation("symmetric", 1, order + 4)
+        long_products = []
+        mul = TSeries.mul
+
+        def counted(self, other):
+            if isinstance(other, TSeries) and min(len(self._num), len(other._num)) > _ROW_MAX:
+                long_products.append((len(self._num), len(other._num)))
+            return mul(self, other)
+
+        monkeypatch.setattr(TSeries, "mul", counted)
+        cf.alternating_theta(q, relation, order)
+        assert len(long_products) == 1
 
     def test_bargraph_multiplications(self, monkeypatch):
         # Newton doubling takes 70 products here; Picard iteration, one
@@ -316,14 +364,14 @@ class TestThetaSums:
 
     def test_positive_valuation_required(self):
         with pytest.raises(ValueError):
-            cf.alternating_theta(tpoly({0: 1}, 8), 8)
+            cf.alternating_theta(tpoly({0: 1}, 8), kernel.q_relation("symmetric", 1, 8), 8)
         with pytest.raises(ValueError):
             cf.ratio_theta(tpoly({0: 1, 1: 1}, 8), 8)
 
     def test_term_count_grows_with_order(self):
         # quadratic valuation growth: order 50 needs n <= 6 alternating terms
         q = kernel.q_sym(1, 60)
-        s = cf.alternating_theta(q, 50)
+        s = cf.alternating_theta(q, kernel.q_relation("symmetric", 1, 60), 50)
         brute = TSeries.constant(1, 50)
         for n in range(1, 7):
             brute = brute + (-1) ** n * q.pow(n).shift(n * n)

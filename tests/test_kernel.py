@@ -101,6 +101,17 @@ class TestRoots:
                            match="alpha\\+ branch has valuation -3, expected -1"):
             kernel.root("asymmetric", "alpha+", -1, 10)
 
+    @pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2), Fraction(2)])
+    def test_laurent_argument_with_one_root_valuation_is_refused(self, a):
+        # both roots of K(beta_-1(a), .) have valuation 0: beta_1(beta_-1(a))
+        # = a and beta_-2(a); at a = 1 the formula's branch gave beta_-2(1)
+        bm = kernel.root("symmetric", "beta+", a, 12)
+        assert bm.valuation == -1
+        with pytest.raises(kernel.BranchSelectionError) as err:
+            kernel.root("symmetric", "beta-", bm, 20)
+        assert str(err.value) == ("beta- branch of an argument of valuation -1 has "
+                                  "valuation 0, not above the other root's 0")
+
     def test_alpha_requires_asymmetric(self):
         with pytest.raises(ValueError):
             kernel.root("symmetric", "alpha-", 1, 10)
@@ -197,6 +208,9 @@ class TestEachRootBuiltOnce:
         # element 3 is t^3 + ... known only to order 2, so a zero series
         with pytest.raises(OrderUnderflowError, match="zero to its order 2"):
             kernel.Chain("asymmetric", 1, 2)[4]
+        # the root of the Laurent 1/t + O(1) is known to no order
+        with pytest.raises(OrderUnderflowError, match="beta- branch is zero to its order -2"):
+            kernel.root("asymmetric", "beta-", TSeries(-1, [1], -1), -1)
 
     def test_scalar_zero_argument_is_a_value_error(self):
         with pytest.raises(ValueError, match="must be nonzero") as info:
@@ -342,6 +356,27 @@ class TestQSeries:
     def test_qbar_q_product(self, a):
         prod = kernel.qbar_asym(a, 40) * kernel.q_asym(a, 40)
         assert prod.same(TSeries.t_power(3, prod.order))
+
+    @pytest.mark.parametrize("a", kernel.SAMPLE_ARGS)
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_q_relation(self, kind, a):
+        q = (kernel.q_sym if kind == "symmetric" else kernel.q_asym)(a, 30)
+        big_a, c = kernel.q_relation(kind, a, 30)
+        if kind == "symmetric":
+            want = (tpoly({-1: 1 / a**2, 1: -1 / a**2 - 2}, 30), TSeries.t_power(2, 30))
+        else:
+            want = (tpoly({0: 1 / a, 1: -1, 2: -1 / a, 3: -1}, 30), TSeries.t_power(4, 30))
+        assert (big_a, c) == want
+        residual = q * q - big_a * q + c
+        assert residual.is_zero() and residual.order >= 29
+
+    @pytest.mark.parametrize("kind,printed", [("symmetric", printed_q_sym),
+                                              ("asymmetric", printed_q_asym)])
+    def test_printed_q_relation(self, kind, printed):
+        q = printed(30)
+        big_a, c = kernel.q_relation(kind, 1, 30)
+        residual = q * q - big_a * q + c
+        assert residual.is_zero() and residual.order >= 29
 
     def test_printed_specializations(self):
         assert kernel.q_sym(1, 30).same(printed_q_sym(30))
