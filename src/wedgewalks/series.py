@@ -280,6 +280,8 @@ class TSeries:
         if b[0] < 0:
             b, scale = [-x for x in b], -scale
         lead, lb = b[0], len(b)
+        if lb == 1:  # a monomial divisor only rescales
+            return TSeries._make(lo, [x * scale for x in a[:n_out]], lead * self._den, order)
         brev = b[::-1]
         q, d = [], 1
         for k in range(n_out):
