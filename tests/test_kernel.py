@@ -103,8 +103,8 @@ class TestRoots:
 
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2), Fraction(2)])
     def test_laurent_argument_with_one_root_valuation_is_refused(self, a):
-        # both roots of K(beta_-1(a), .) have valuation 0: beta_1(beta_-1(a))
-        # = a and beta_-2(a); at a = 1 the formula's branch gave beta_-2(1)
+        # both roots of K(beta_-1(a), .), a and beta_-2(a), have valuation 0,
+        # so valuation cannot pick the beta- branch
         bm = kernel.root("symmetric", "beta+", a, 12)
         assert bm.valuation == -1
         with pytest.raises(kernel.BranchSelectionError) as err:
