@@ -6,6 +6,10 @@ whenever a printed closed form disagrees with enumeration, the verification
 suite reports the first differing coefficient and the package discrepancy
 ledger records which side is trusted.  Nothing here silently "fixes" a
 formula.
+
+The symmetric radical sqrt((1 - t^2)(1 - 5t^2)) is built once, in
+``printed_q_sym``.  ``gf_sym_f1``, ``gf_sym_g1`` and ``gf_h1_pieces`` take
+the printed Q in its place, as R = 1 - 3t^2 - 2tQ; the values are the same.
 """
 
 from __future__ import annotations
@@ -26,20 +30,20 @@ def _pell(order: int) -> TSeries:
     return tpoly({0: 1, 1: -2, 2: -1}, order)
 
 
-def _sym_radical(order: int) -> TSeries:
-    """sqrt((1 - t^2)(1 - 5t^2))."""
-    return (tpoly({0: 1, 2: -1}, order) * tpoly({0: 1, 2: -5}, order)).sqrt()
-
-
 def _asym_radical(order: int) -> TSeries:
     """sqrt((1 - t^4)(1 - 2t - t^2))."""
     return (tpoly({0: 1, 4: -1}, order) * _pell(order)).sqrt()
 
 
 def printed_q_sym(order: int) -> TSeries:
-    """(1 - 3t^2 - sqrt((1-t^2)(1-5t^2))) / (2t)."""
+    """(1 - 3t^2 - sqrt((1-t^2)(1-5t^2))) / (2t).
+
+    The only build of the symmetric radical R: the builders that need it
+    read it from Q as R = 1 - 3t^2 - 2tQ.
+    """
     w = order + 4
-    return ((tpoly({0: 1, 2: -3}, w) - _sym_radical(w)) / (2 * tvar(w))).truncate(order)
+    radical = (tpoly({0: 1, 2: -1}, w) * tpoly({0: 1, 2: -5}, w)).sqrt()
+    return ((tpoly({0: 1, 2: -3}, w) - radical) / (2 * tvar(w))).truncate(order)
 
 
 def printed_q_asym(order: int) -> TSeries:
@@ -136,18 +140,20 @@ def gf_dyck(order: int) -> TSeries:
 def gf_sym_f1(order: int) -> TSeries:
     """Horizontal-ending walks in the symmetric unit wedge."""
     w = order + 6
-    s = alternating_theta(printed_q_sym(w), kernel.q_relation("symmetric", 1, w), w)
-    res = (tpoly({0: 1, 1: -1}, w)
-           - (tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) * s) / _pell(w)
+    q = printed_q_sym(w)
+    s = alternating_theta(q, kernel.q_relation("symmetric", 1, w), w)
+    # (1 - t^2) - R = 2t (t + Q), R the radical of Q
+    res = (tpoly({0: 1, 1: -1}, w) - (q + tvar(w)).shift(1) * 2 * s) / _pell(w)
     return res.truncate(order)
 
 
 def gf_sym_g1(order: int) -> TSeries:
     """All walks in the symmetric unit wedge."""
     w = order + 6
-    s = alternating_theta(printed_q_sym(w), kernel.q_relation("symmetric", 1, w), w)
-    res = (tpoly({0: 1, 1: 1}, w)
-           - ((tpoly({0: 1, 2: -1}, w) - _sym_radical(w)) / tvar(w)) * s) / _pell(w)
+    q = printed_q_sym(w)
+    s = alternating_theta(q, kernel.q_relation("symmetric", 1, w), w)
+    # ((1 - t^2) - R)/t = 2 (t + Q), R the radical of Q
+    res = (tpoly({0: 1, 1: 1}, w) - (q + tvar(w)) * 2 * s) / _pell(w)
     return res.truncate(order)
 
 
@@ -162,13 +168,14 @@ def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSerie
     ``order``.
     """
     w = order + 8
-    q = printed_q_asym(w)
+    # P(1) has the printed closed form of the symmetric Q(1)
+    q, big_p = printed_q_asym(w), printed_q_sym(w)
     pell, one_m_t2 = _pell(w), tpoly({0: 1, 2: -1}, w)
     pref = -(q * one_m_t2 / pell).shift(-2)
-    p1 = (tpoly({0: 1, 1: -2, 2: 1}, w) - _sym_radical(w)) / pell * Fraction(1, 2)
+    # ((1 - t)^2 - R)/2 = t (P + 2t - 1), R the radical of P
+    p1 = (big_p + tpoly({0: -1, 1: 2}, w)).shift(1) / pell
     p2 = pref * ratio_theta(q, w)
-    # P(1) has the printed closed form of the symmetric Q(1)
-    p3 = one_m_t2 * ratio_theta(printed_q_sym(w), w) / pell
+    p3 = one_m_t2 * ratio_theta(big_p, w) / pell
     middle = ((pref * term).truncate(order) for term in _ratio_theta_terms(q, w))
     return p1.truncate(order), p2.truncate(order), p3.truncate(order), middle
 

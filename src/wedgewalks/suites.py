@@ -249,8 +249,9 @@ def suite_closedform(order: int = 100) -> list[Verdict]:
     free_order = min(order, 200)
     ct = count_walks(WedgeModel("free", 1), free_order)
 
+    g1 = cf.gf_sym_g1(order)
     out.append(_verdict("closedform", "sym closed form vs counts", order,
-                        cf.gf_sym_g1(order) - _count_series(vt.counts, order)))
+                        g1 - _count_series(vt.counts, order)))
     out.append(_verdict("closedform", "asym closed form vs counts", order,
                         cf.gf_asym_k1(order) - _count_series(wt.counts, order)))
     out.append(_verdict("closedform", "free closed form vs counts", free_order,
@@ -259,9 +260,9 @@ def suite_closedform(order: int = 100) -> list[Verdict]:
     # horizontal-ending relations
     w = min(order, 60)
     f1 = cf.gf_sym_f1(w)
-    g1 = cf.gf_sym_g1(w)
     t = TSeries.t_power(1, w)
-    out.append(_verdict("closedform", "f = 1 + t*g (symmetric)", w, f1 - 1 - t * g1))
+    out.append(_verdict("closedform", "f = 1 + t*g (symmetric)", w,
+                        f1 - 1 - t * g1.truncate(w)))
     w = min(order, 40)
     out.append(_verdict("closedform", "f1(1,1) = horizontal-ending counts", w,
                         f1.truncate(w) - weighted_gf("symmetric", 1, w).series_at(1, 1)))

@@ -23,20 +23,24 @@ and arriving step (east or start, north, south), over a closed index range.
 The two wedges are indexed by column X and d, the number of south steps so
 far, so Y = n - X - 2d and only the reachable parity of Y is stored: a north
 step keeps (X, d), a south step goes to (X, d + 1) and an east step to
-(X + 1, d).  With w = p for the symmetric wedge and w = 0 for the asymmetric
-one, the full domain -w*X <= Y <= p*X is
+(X + 1, d).  Both wedges are stepped over 0 <= Y <= p*X only,
 
-    max(0, ceil((n - X - p*X)/2)) <= d <= min(n - X, floor((n - X + w*X)/2)).
+    max(0, ceil((n - X - p*X)/2)) <= d <= floor((n - X)/2),
+
+with a wall floor Y = 0 (asymmetric wedge) or a mirror floor (symmetric
+wedge, see below).  The state budget alone is defined on the whole domain
+-w*X <= Y <= p*X, with w = p for the symmetric wedge and w = 0 for the
+asymmetric one (``_frontier_size``).
 
 One step (``_wedge_step``) is the wedges' only transition: it builds each new
 column X from old columns X and X - 1 with three list additions and three
 slices, clipped to the column's range as it is built.  ``weighted_gf`` needs
-every endpoint and steps that full domain, and the state budget is checked
-on it.  ``count_walks`` needs only the totals, so the same step keeps a band
-of the wedge: the cells that can still reach Y = p*X in the steps left to
-n_max, above Y = 0.  A cell that leaves the band goes straight into one
-column indexed by its height Y, where it steps as a ``halfplane`` walk
-(asymmetric wedge) or a ``free`` walk (symmetric wedge) from then on.
+every endpoint and steps all of 0 <= Y <= p*X.  ``count_walks`` needs only
+the totals, so the same step keeps a band of it: the cells that can still
+reach Y = p*X in the steps left to n_max.  A cell that leaves the band goes
+straight into one column indexed by its height Y, where it steps as a
+``halfplane`` walk (asymmetric wedge) or a ``free`` walk (symmetric wedge)
+from then on.
 
 The five line models, and that height column, are one column indexed by the
 sheared height h = Y - ls*X, ls the slope of the lower line (0 when there is
@@ -45,8 +49,9 @@ south step adds +1 or -1, and h ranges over [0, n].  ``free`` and the
 symmetric wedge are stored as their half Y >= 0: the reflection Y -> -Y
 swaps north and south arrivals, so at Y = 0 the north arrivals equal the
 south ones (the mirror floor), and the count is twice the stored walks less
-those on Y = 0.  No step does per-state dictionary work, and the frontier
-size at any length is known before the first step.
+those on Y = 0; ``weighted_gf`` writes each stored endpoint of the symmetric
+wedge also as its mirror at -Y.  No step does per-state dictionary work, and
+the frontier size at any length is known before the first step.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ def _frontier_size(model: WedgeModel, n: int) -> int:
                for x in range(n + 1))
 
 
-def _wedge_step(band: list, n: int, p: int, w: int, reach: int | None,
+def _wedge_step(band: list, n: int, p: int, reach: int | None,
                 line: tuple | None = None, mirror: bool = False) -> tuple[list, int, int]:
     """Extend every wedge walk by one step, to length n; the wedges' only transition.
 
@@ -165,13 +170,14 @@ def _wedge_step(band: list, n: int, p: int, w: int, reach: int | None,
 
         lo = max(0, ceil((n - (p+1)*X)/2)) <= d <= hi = min(floor, near(X) - 1),
 
-    with floor = min(n - X, floor((n - X + w*X)/2)) the lower line Y = -w*X
-    and near(X) = ceil((reach - (p+1)*X)/2) the band (none when ``reach`` is
-    None).  A north step over Y = p*X or a south step below the floor is
-    dropped; a cell past near(X) - 1 goes straight into the line column
-    ``line`` = (e, u, d) at its height Y = n - X - 2d.  With ``mirror`` the
-    floor Y = 0 is a mirror (see ``count_walks``): the north arrivals at a
-    Y = 0 cell, from the unstored Y = -1, are set to its south arrivals.
+    with floor = floor((n - X)/2) the floor Y = 0 and near(X) =
+    ceil((reach - (p+1)*X)/2) the band (none when ``reach`` is None).  A
+    north step over Y = p*X or a south step below the floor is dropped; a
+    cell past near(X) - 1 goes straight into the line column ``line`` =
+    (e, u, d) at its height Y = n - X - 2d.  Without ``mirror`` the floor is
+    a wall (the asymmetric wedge); with it the floor is a mirror (the
+    symmetric wedge, see ``count_walks``): the north arrivals at a Y = 0
+    cell, from the unstored Y = -1, are set to its south arrivals.
 
     Returns the new band, the number of walks of length n - 1 in the old
     band, and (with ``mirror``) the number of walks of length n on Y = 0.
@@ -191,10 +197,7 @@ def _wedge_step(band: list, n: int, p: int, w: int, reach: int | None,
         lo = (n - q * x + 1) // 2
         if lo < 0:
             lo = 0
-        floor = (n - x + w * x) // 2
-        if floor > n - x:
-            floor = n - x
-        hi = floor
+        hi = floor = (n - x) // 2
         if reach is not None and (reach - q * x - 1) // 2 < hi:
             hi = (reach - q * x - 1) // 2  # near(X) - 1
         size = hi - lo + 1
@@ -302,8 +305,7 @@ def count_walks(model: WedgeModel, n_max: int) -> CountTable:
         line, line_cells = _line_step(line, shift)
         band_total = band_floor = 0
         if band:
-            band, band_total, band_floor = _wedge_step(band, n, model.p, 0, n_max, line,
-                                                       mirrored)
+            band, band_total, band_floor = _wedge_step(band, n, model.p, n_max, line, mirrored)
         if not pinned:  # the walks of length n - 1
             total = band_total + sum(line_cells)
             counts.append(2 * total - on_floor if mirrored else total)
@@ -444,8 +446,10 @@ class WeightedSeries:
 def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
     """Trivariate DP for f_p (symmetric) or h_p (asymmetric).
 
-    The wedge step of ``count_walks`` over the whole domain: the lower line
-    is Y = -w*X (w = p symmetric, 0 asymmetric) and there is no band.
+    The wedge step of ``count_walks`` over all of 0 <= Y <= p*X, with no
+    band.  The symmetric wedge is stepped as its half Y >= 0 with the mirror
+    floor, and each horizontal ender there is written under (n, i, j) and,
+    for its mirror walk at -Y, (n, j, i); on Y = 0 the two keys are one.
     """
     if kind not in ("symmetric", "asymmetric"):
         raise ValueError("weighted series exist for the symmetric and asymmetric models only")
@@ -454,19 +458,21 @@ def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
     if order > 60:
         raise BudgetError(f"weighted order {order} exceeds the budget of 60")
     WedgeModel(kind, p)  # refuses p < 1
-    w = p if kind == "symmetric" else 0
+    mirror = kind == "symmetric"
     entries: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
     columns = [(0, [1], [0], [0])]
     for n in range(1, order + 1):
-        columns, _total, _floor = _wedge_step(columns, n, p, w, None)
-        # i = p*X - Y is the distance below the upper line, j = w*X + Y above
-        # the lower; at Y = n - X - 2d a step down the column adds 2 to i
+        columns, _total, _floor = _wedge_step(columns, n, p, None, mirror=mirror)
+        # i = p*X - Y is the distance below the upper line and j = span - i
+        # the distance above the lower line Y = -p*X (symmetric) or Y = 0; at
+        # Y = n - X - 2d a step down the column adds 2 to i
         for x, (lo, e, _u, _d) in enumerate(columns):
             i = (p + 1) * x - n + 2 * lo
-            j = (p + w) * x - i
+            span = 2 * p * x if mirror else p * x
             for c in e:
                 if c:
-                    entries[n, i, j] = c
+                    entries[n, i, span - i] = c
+                    if mirror:  # the mirror walk, at -Y
+                        entries[n, span - i, i] = c
                 i += 2
-                j -= 2
     return WeightedSeries(kind, p, order, entries)

@@ -398,7 +398,9 @@ class TestReport:
 #: non-unit and series root arguments in each kernel slot, and kernel at
 #: order 2) at 0c6667e; the order-300 asymmetric pieces and symmetric theta
 #: sum at a = 1/2 (radical recurrences and more than four theta terms) at
-#: 3ee6b84.  A refactor must leave every one unchanged
+#: 3ee6b84; the weighted series at its budget edge (symmetric p = 1, order 60)
+#: and at p = 2, order 41, sym_f1 at order 300 and the p-pieces at --nmax 120
+#: at aee20bd.  A refactor must leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -464,6 +466,10 @@ PINNED = {
     "verify --suite kernel --order 2": "85dff8476ea4e803",
     "series --kind asym_h1 --order 300 --format json": "c81edf507c42ba82",
     "series --kind theta_sym --a 1/2 --order 300 --format json": "cc692f626ccadca3",
+    "series --kind weighted --model symmetric --p 1 --order 60": "7668babe5624fc18",
+    "series --kind weighted --model symmetric --p 2 --order 41": "952ff51f173aa278",
+    "series --kind sym_f1 --order 300 --format json": "da5fa025b32ece62",
+    "asympt --const p-pieces --nmax 120": "92bf2a9eb93d7462",
 }
 
 

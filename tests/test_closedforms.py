@@ -291,6 +291,14 @@ def _count_calls(monkeypatch, *names):
 class TestWorkBounds:
     """Operation counts, not timings, guard the cost of the builders."""
 
+    @pytest.mark.parametrize("builder,order,roots", [
+        (cf.gf_sym_f1, 120, 1), (cf.gf_sym_g1, 120, 1), (cf.gf_asym_h1, 60, 2)])
+    def test_symmetric_radical_is_read_from_q(self, monkeypatch, builder, order, roots):
+        # one sqrt for the printed symmetric Q, and one for the asymmetric Q
+        calls = _count_calls(monkeypatch, "sqrt")
+        builder(order)
+        assert calls["sqrt"] == roots
+
     def test_theta_sums_carry_powers(self, monkeypatch):
         q = kernel.q_asym(1, 124)
         relation = kernel.q_relation("asymmetric", 1, 124)

@@ -278,6 +278,26 @@ class TestWeighted:
         for p in (1, 2, 3, 4):
             assert weighted_gf(kind, p, 40).entries == _reference_weighted(kind, p, 40), p
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_symmetric_steps_only_its_half(self, monkeypatch, p):
+        # the mirror floor stores 0 <= Y <= p*X, the asymmetric wedge's cells
+        step = walks._wedge_step
+
+        def cells(kind):
+            stepped = []
+
+            def counted(*args, **kwargs):
+                band, total, on_floor = step(*args, **kwargs)
+                stepped.append(sum(len(e) for _lo, e, _u, _d in band))
+                return band, total, on_floor
+
+            with monkeypatch.context() as patch:
+                patch.setattr(walks, "_wedge_step", counted)
+                weighted_gf(kind, p, 30)
+            return sum(stepped)
+
+        assert cells("symmetric") == cells("asymmetric") > 0
+
     @pytest.mark.parametrize("kind,p", [("symmetric", 1), ("asymmetric", 2)])
     def test_evaluation_equals_fraction_formula(self, kind, p):
         w = weighted_gf(kind, p, 16)
