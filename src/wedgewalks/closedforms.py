@@ -121,10 +121,7 @@ def ratio_theta(q: TSeries, order: int) -> TSeries:
     the order of the sum (see _ratio_theta_terms), which is min(order, the
     order of the n = 0 term).
     """
-    acc = TSeries.zero(order)
-    for term in _ratio_theta_terms(q, order):
-        acc = acc + term
-    return acc
+    return sum(_ratio_theta_terms(q, order), TSeries.zero(order))
 
 
 def gf_free(order: int) -> TSeries:
@@ -162,10 +159,11 @@ def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSerie
 
     p1 + p2 + p3 is the solution.  The middle piece p2 is -q (1 - t^2)
     pole / t^2 times the ratio sum over the printed asymmetric Q; ``middle``
-    is an iterator over its summands k = 0, 1, ..., each to ``order`` and
-    computed only when it is drawn.  It stops after the last summand that
-    starts within the ratio sum's order; every later summand is zero to
-    ``order``.
+    is an iterator over its summands k = 0, 1, ..., each to ``order``.  The
+    summands of the ratio sum are computed once, with p2; ``middle``
+    computes only the product of each with the prefactor, when it is drawn.
+    It stops after the last summand that starts within the ratio sum's
+    order; every later summand is zero to ``order``.
     """
     w = order + 8
     # P(1) has the printed closed form of the symmetric Q(1)
@@ -174,9 +172,10 @@ def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSerie
     pref = -(q * one_m_t2 / pell).shift(-2)
     # ((1 - t)^2 - R)/2 = t (P + 2t - 1), R the radical of P
     p1 = (big_p + tpoly({0: -1, 1: 2}, w)).shift(1) / pell
-    p2 = pref * ratio_theta(q, w)
+    terms = list(_ratio_theta_terms(q, w))
+    p2 = pref * sum(terms, TSeries.zero(w))
     p3 = one_m_t2 * ratio_theta(big_p, w) / pell
-    middle = ((pref * term).truncate(order) for term in _ratio_theta_terms(q, w))
+    middle = ((pref * term).truncate(order) for term in terms)
     return p1.truncate(order), p2.truncate(order), p3.truncate(order), middle
 
 

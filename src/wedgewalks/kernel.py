@@ -12,7 +12,13 @@ The kernel form of the column-construction equation is
     K(a,b) * f(a,b) = X(a,b) + Y(a,b) * f(a, t*a) + Z(a,b) * f(t*b, b)
 
 where f(a, t*a) re-weights walks whose endpoint sits on the lower boundary
-line and f(t*b, b) those on the upper one.
+line and f(t*b, b) those on the upper one.  One formula (``kernel_coeffs``)
+gives K, X, Y and Z for both wedges, in terms of the weight w of an east
+step: (ab)^p in the symmetric wedge and a^p in the asymmetric one.  The
+wedges differ in four places only: that weight (``_east_weight``), the p = 1
+kernel in each root slot (``_slot``), the form of Q (``_q_form``) and the
+root steps of a ``Chain``.  The kernel-form residual is X times the
+column-construction residual.
 
 The paper solves its recurrences by iterated compositions of the kernel
 roots.  A ``Chain`` builds them once: a, beta(a), beta(beta(a)), ...
@@ -70,27 +76,34 @@ class KernelCoeffs(NamedTuple):
     upper: TSeries         # Z, multiplies f(t*b, b)
 
 
+def _east_weight(kind: str, p: int, a, b):
+    """The weight of an east step: (ab)^p in the symmetric wedge, a^p in the
+    asymmetric one."""
+    if kind not in ("symmetric", "asymmetric"):
+        raise ValueError(f"no kernel system for model {kind!r}")
+    return (a * b) ** p if kind == "symmetric" else a**p
+
+
 def kernel_coeffs(kind: str, p: int, a: Arg, b: Arg, order: int) -> KernelCoeffs:
-    """The quadruple (K, X, Y, Z) for either model and any integer p >= 1."""
+    """The quadruple (K, X, Y, Z) for either model and any integer p >= 1.
+
+    With w the east-step weight (``_east_weight``):
+      X = (b - ta)(a - tb),
+      K = X (1 - tw) - t^2 w (a^2 + b^2 - 2tab),
+      Y = -t^2 a w (a - tb),
+      Z = -t^2 b w (b - ta).
+    """
     t = tvar(order)
     a = as_series(a, order)
     b = as_series(b, order)
+    w = _east_weight(kind, p, a, b)
     bya = b - t * a
     ayb = a - t * b
     square = a * a + b * b - 2 * (t * a * b)
     x_term = bya * ayb
-    if kind == "symmetric":
-        abp = (a * b) ** p
-        k = x_term * (1 - t * abp) - t * t * abp * square
-        y_term = -(t * t) * a ** (p + 1) * b**p * ayb
-        z_term = -(t * t) * a**p * b ** (p + 1) * bya
-    elif kind == "asymmetric":
-        ap = a**p
-        k = x_term * (1 - t * ap) - t * t * ap * square
-        y_term = -(t * t) * a ** (p + 1) * ayb
-        z_term = -(t * t) * ap * b * bya
-    else:
-        raise ValueError(f"no kernel system for model {kind!r}")
+    k = x_term * (1 - t * w) - t * t * w * square
+    y_term = -(t * t) * a * w * ayb
+    z_term = -(t * t) * b * w * bya
     return KernelCoeffs(k, x_term, y_term, z_term)
 
 
@@ -440,11 +453,12 @@ def residual_functional_eq(kind: str, p: int, a, b, order: int,
     The walk series f(a, b) (or h) and its boundary specializations f(a, ta)
     and f(tb, b) are ``fab``, ``f_lower`` and ``f_upper``, read off the
     dynamic-programming weighted series of the same model and p to at least
-    ``order``; the result must vanish identically mod t^(order+1).
+    ``order``; the result must vanish identically mod t^(order+1).  A model
+    other than the two wedges raises ValueError.
     """
     a, b = Fraction(a), Fraction(b)
     t = tvar(order)
-    horiz = t * ((a * b) ** p if kind == "symmetric" else a**p)
+    horiz = t * _east_weight(kind, p, a, b)
     ub = t * Fraction(b, a)
     da = t * Fraction(a, b)
     up_run = ub / (1 - ub)
@@ -458,8 +472,8 @@ def residual_functional_eq(kind: str, p: int, a, b, order: int,
 def residual_kernel_form(kind: str, p: int, a, b, order: int,
                          fab: TSeries, f_lower: TSeries, f_upper: TSeries) -> TSeries:
     """K*f - X - Y*f(a,ta) - Z*f(tb,b), with f and its boundary
-    specializations given as in ``residual_functional_eq``; an equivalent
-    kernel-form residual."""
+    specializations given as in ``residual_functional_eq``: X times that
+    residual."""
     a, b = Fraction(a), Fraction(b)
     coeffs = kernel_coeffs(kind, p, a, b, order)
     return (coeffs.kernel * fab

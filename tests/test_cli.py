@@ -400,7 +400,10 @@ class TestReport:
 #: sum at a = 1/2 (radical recurrences and more than four theta terms) at
 #: 3ee6b84; the weighted series at its budget edge (symmetric p = 1, order 60)
 #: and at p = 2, order 41, sym_f1 at order 300 and the p-pieces at --nmax 120
-#: at aee20bd.  A refactor must leave every one unchanged
+#: at aee20bd; closedform at orders 0 and 41 (the h1 verdict capped below
+#: k1's order), the p-pieces at --nmax 12 (middle padded with zeros) and
+#: funceq at its default order 30 at 8df29f0.  A refactor must leave every
+#: one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -470,6 +473,10 @@ PINNED = {
     "series --kind weighted --model symmetric --p 2 --order 41": "952ff51f173aa278",
     "series --kind sym_f1 --order 300 --format json": "da5fa025b32ece62",
     "asympt --const p-pieces --nmax 120": "92bf2a9eb93d7462",
+    "verify --suite closedform --order 41": "37b30c3eda7bc0d1",
+    "verify --suite closedform --order 0": "cdb93950b2d731ed",
+    "asympt --const p-pieces --nmax 12": "cc7d1535c6f4e380",
+    "verify --suite funceq --order 30": "f0c981cdabb79c14",
 }
 
 

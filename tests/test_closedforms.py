@@ -299,6 +299,31 @@ class TestWorkBounds:
         builder(order)
         assert calls["sqrt"] == roots
 
+    def test_closedform_suite_builds_h1_once(self, monkeypatch):
+        # the h1 verdict reads 1 + t*k1 from the k1 that the suite compares
+        calls = []
+        h1 = cf.gf_asym_h1
+        monkeypatch.setattr(cf, "gf_asym_h1", lambda order: calls.append(order) or h1(order))
+        suites.suite_closedform(30)
+        assert calls == [31]
+
+    def test_p_pieces_compute_each_summand_once(self, monkeypatch):
+        # middle reuses the summands of p2's ratio sum
+        yielded = []
+        terms = cf._ratio_theta_terms
+
+        def counted(q, order):
+            for term in terms(q, order):
+                yielded.append(order)
+                yield term
+
+        monkeypatch.setattr(cf, "_ratio_theta_terms", counted)
+        cf.gf_asym_h1(50)
+        alone = len(yielded)
+        _p1, _p2, _p3, middle = cf.gf_h1_pieces(50)
+        assert len(list(middle)) >= 3
+        assert len(yielded) - alone <= alone
+
     def test_theta_sums_carry_powers(self, monkeypatch):
         q = kernel.q_asym(1, 124)
         relation = kernel.q_relation("asymmetric", 1, 124)

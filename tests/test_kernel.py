@@ -51,6 +51,14 @@ class TestKernelCoeffs:
             assert ab.free_term.same(ba.free_term)
             assert ab.lower.same(ba.upper)
 
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_east_weight_is_one_power(self, monkeypatch, kind):
+        powers = []
+        pow_ = TSeries.pow
+        monkeypatch.setattr(TSeries, "pow", lambda self, n: powers.append(n) or pow_(self, n))
+        kernel.kernel_coeffs(kind, 3, Fraction(1, 2), Fraction(1, 3), 20)
+        assert powers == [3]
+
     def test_asymmetric_asymmetry_witness(self):
         third = Fraction(1, 3)
         y = kernel.kernel_coeffs("asymmetric", 1, Fraction(1), Fraction(2), 10).lower
@@ -428,6 +436,28 @@ class TestResiduals:
         res = kernel.residual_kernel_form("symmetric", 2, a, b, 25, w.series_at(a, b),
                                           w.series_lower(a), w.series_upper(b))
         assert res.is_zero()
+
+
+    def test_unknown_model_is_refused(self):
+        f = TSeries.constant(1, 5)
+        with pytest.raises(ValueError, match="no kernel system"):
+            kernel.residual_functional_eq("bogus", 1, 1, 1, 5, f, f, f)
+
+    @pytest.mark.parametrize("a,b", [(Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 3)),
+                                     (Fraction(-2, 3), Fraction(3, 5))])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_kernel_form_is_x_times_column_residual(self, kind, p, a, b):
+        # arbitrary series, not the walk series, so neither residual vanishes:
+        # each of K, X, Y and Z is checked against the column equation
+        order = 12
+        f = (tpoly({0: 2, 1: -1, 3: Fraction(5, 7)}, order), tpoly({0: 1, 2: 3, 5: -2}, 10),
+             tpoly({1: Fraction(1, 2), 4: 1}, order))
+        column = kernel.residual_functional_eq(kind, p, a, b, order, *f)
+        x = kernel.kernel_coeffs(kind, p, a, b, order).free_term
+        kernel_form = kernel.residual_kernel_form(kind, p, a, b, order, *f)
+        assert not column.is_zero()
+        assert kernel_form.same(x * column)
 
 
 def _failing_identities(pairs, order):
