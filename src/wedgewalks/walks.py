@@ -13,39 +13,38 @@ Seven vertex domains are supported:
     boundary_flat   Y >= 0, final vertex on Y = 0 and final step horizontal
     boundary_diag   Y >= X, final vertex on Y = X and final step horizontal
 
-Two independent counters are provided: a per-length dynamic program, and an
-exhaustive depth-first generator used as an oracle for small lengths.  They
-share no transition code: the band, the height column and the mirror floor
-below live in the DP only, and the oracle walks the raw domain.
+Two independent counters are provided: a dynamic program, and an exhaustive
+depth-first generator used as an oracle for small lengths.  They share no
+transition code: the band, the height column and the mirror floor below live
+in the DP only, and the oracle walks the raw domain.
 
-The dynamic program keeps, for each length n, one integer list per column
-and arriving step (east or start, north, south), over a closed index range.
-The two wedges are indexed by column X and d, the number of south steps so
-far, so Y = n - X - 2d and only the reachable parity of Y is stored: a north
-step keeps (X, d), a south step goes to (X, d + 1) and an east step to
-(X + 1, d).  Both wedges are stepped over 0 <= Y <= p*X only,
+The dynamic program keeps integer lists split by the arriving step (east or
+start, north, south).  The two wedges index a cell by column X, height Y and
+d, the number of south steps so far, at length n = X + Y + 2d: a north step
+keeps (X, d), a south step goes from Y to Y - 1 and from d to d + 1, and an
+east step from X to X + 1.  So one list over d holds the whole history of
+one height of one column, and ``_column`` builds every height of column X at
+once from column X - 1 alone: the east arrivals are the old column's
+totals, the north arrivals a running sum up the column and the south
+arrivals a shifted running sum down it.  Both wedges are built over
+0 <= Y <= p*X only, with a wall floor Y = 0 (asymmetric wedge) or a mirror
+floor (symmetric wedge, see below).  The state budget alone is defined on
+the whole domain -w*X <= Y <= p*X, with w = p for the symmetric wedge and
+w = 0 for the asymmetric one (``_frontier_size``).
 
-    max(0, ceil((n - X - p*X)/2)) <= d <= floor((n - X)/2),
-
-with a wall floor Y = 0 (asymmetric wedge) or a mirror floor (symmetric
-wedge, see below).  The state budget alone is defined on the whole domain
--w*X <= Y <= p*X, with w = p for the symmetric wedge and w = 0 for the
-asymmetric one (``_frontier_size``).
-
-One step (``_wedge_step``) is the wedges' only transition: it builds each new
-column X from old columns X and X - 1 with three list additions and three
-slices, clipped to the column's range as it is built.  ``weighted_gf`` needs
-every endpoint and steps all of 0 <= Y <= p*X.  ``count_walks`` needs only
-the totals, so the same step keeps a band of it: the cells that can still
-reach Y = p*X in the steps left to n_max.  A cell that leaves the band goes
-straight into one column indexed by its height Y, where it steps as a
-``halfplane`` walk (asymmetric wedge) or a ``free`` walk (symmetric wedge)
-from then on.
+``weighted_gf`` needs every endpoint and keeps every cell of length at most
+its order.  ``count_walks`` needs only the totals, so it keeps a band of
+each column: the cells that can still reach Y = p*X in the steps left to
+n_max, which is d < near(X) at every height (``_band``).  A cell that
+leaves the band is stored by length as an inflow to one column indexed by
+its height Y, where it steps as a ``halfplane`` walk (asymmetric wedge) or a
+``free`` walk (symmetric wedge) from then on.  The band's totals by length
+come from the top and floor of each column, with no pass over its cells.
 
 The five line models, and that height column, are one column indexed by the
 sheared height h = Y - ls*X, ls the slope of the lower line (0 when there is
-none), stepped by ``_line_step``: an east step adds -ls to h, a north or
-south step adds +1 or -1, and h ranges over [0, n].  ``free`` and the
+none), stepped over n by ``_line_step``: an east step adds -ls to h, a north
+or south step adds +1 or -1, and h ranges over [0, n].  ``free`` and the
 symmetric wedge are stored as their half Y >= 0: the reflection Y -> -Y
 swaps north and south arrivals, so at Y = 0 the north arrivals equal the
 south ones (the mirror floor), and the count is twice the stored walks less
@@ -157,79 +156,112 @@ def _frontier_size(model: WedgeModel, n: int) -> int:
                for x in range(n + 1))
 
 
-def _wedge_step(band: list, n: int, p: int, reach: int | None,
-                line: tuple | None = None, mirror: bool = False) -> tuple[list, int, int]:
-    """Extend every wedge walk by one step, to length n; the wedges' only transition.
+def _column(east: list, size: int, top: int, mirror: bool) -> tuple[list, list]:
+    """The whole history of one wedge column X: every height at every length.
 
-    ``band[X]`` is (lo, e, u, d): the counts of walks ending at (X, d) for
-    d = lo, lo + 1, ..., split by the arriving step (east or start, north,
-    south).  An east step may follow any step, a north step any but a south
-    one, and a south step any but a north one.  New column X is built from
-    old column X (north keeps d, south adds 1 to it) and old column X - 1
-    (east keeps d), clipped as it is built to
+    ``east[Y]`` lists, over d = 0, 1, ..., the walks at (X - 1, Y) after d
+    south steps; each steps east to (X, Y) with the same d, and each row
+    holds at least ``size`` cells.  Column X is built over the heights
+    Y = 0..top and d = 0..size - 1, its cell (Y, d) at length n = X + Y + 2d;
+    heights Y >= len(east) get no east arrivals.  An east step may follow
+    any step, a north step any but a south one, and a south step any but a
+    north one, so
 
-        lo = max(0, ceil((n - (p+1)*X)/2)) <= d <= hi = min(floor, near(X) - 1),
+        north arrivals at Y = east + north arrivals at Y - 1, same d
+        south arrivals at Y = east + south arrivals at Y + 1, at d - 1:
 
-    with floor = floor((n - X)/2) the floor Y = 0 and near(X) =
-    ceil((reach - (p+1)*X)/2) the band (none when ``reach`` is None).  A
-    north step over Y = p*X or a south step below the floor is dropped; a
-    cell past near(X) - 1 goes straight into the line column ``line`` =
-    (e, u, d) at its height Y = n - X - 2d.  Without ``mirror`` the floor is
-    a wall (the asymmetric wedge); with it the floor is a mirror (the
-    symmetric wedge, see ``count_walks``): the north arrivals at a Y = 0
-    cell, from the unstored Y = -1, are set to its south arrivals.
+    a running sum up the column and a shifted one down it.  Y = 0 gets no
+    north arrivals without ``mirror`` (a wall floor, the asymmetric wedge)
+    and its own south arrivals with it (the mirror floor of the symmetric
+    wedge, see ``count_walks``).  Above the last east row every walk arrived
+    by north steps, so those heights share one list.
 
-    Returns the new band, the number of walks of length n - 1 in the old
-    band, and (with ``mirror``) the number of walks of length n on Y = 0.
+    Returns (tot, out): tot[Y], the walks at (X, Y) over d = 0..size - 1,
+    and out[Y], the south arrivals at (X, Y) with d = size, which leave the
+    kept range (none reach the heights Y >= len(east) - 1).
     """
-    new = []
-    total = on_floor = 0
-    east_lo, east_src = 0, []  # old column X - 1, all of which may step east
-    q = p + 1
-    # a last, empty old column: the new column that east steps open
-    for x, (src_lo, e, u, d) in enumerate(band + [(0, [], [], [])]):
-        # what may step north (a new top cell gets 0), south (shifted by
-        # one, so that index j is target d = src_lo + j) and east
-        eu = [*map(add, e, u), 0]
-        ed = [0, *map(add, e, d)]
-        tot = list(map(add, eu, d))
-        total += sum(tot)
-        lo = (n - q * x + 1) // 2
-        if lo < 0:
-            lo = 0
-        hi = floor = (n - x) // 2
-        if reach is not None and (reach - q * x - 1) // 2 < hi:
-            hi = (reach - q * x - 1) // 2  # near(X) - 1
-        size = hi - lo + 1
-        if size > 0:
-            # lo >= src_lo and hi grows by at most one, so eu and ed (the old column,
-            # stored whole, and one cell) cover the new one; only east falls short
-            north = eu[lo - src_lo:hi - src_lo + 1]
-            south = ed[lo - src_lo:hi - src_lo + 1]
-            east = east_src[:hi - east_lo + 1]
-            if east_lo > lo:
-                east = [0] * (east_lo - lo) + east
-            if len(east) < size:
-                east += [0] * (size - len(east))
-            if mirror and n - x == 2 * hi:
-                north[-1] = south[-1]
-                on_floor += east[-1] + 2 * south[-1]
-            new.append((lo, east, north, south))
-        else:
-            new.append((lo, [], [], []))
-        if hi < floor:
-            # east steps from d > hi and the south step from d = hi leave the band
-            line_e, _u, line_d = line
-            y = n - x - 2 * max(hi + 1, east_lo)
-            for c in east_src[max(0, hi + 1 - east_lo):]:
-                line_e[y] += c
-                y -= 2
-            if src_lo <= hi < src_lo + len(e):
-                line_d[n - x - 2 * hi - 2] += ed[hi + 1 - src_lo]
-        east_lo, east_src = src_lo, tot
-    while new and not new[-1][1]:
-        new.pop()
-    return new, total, on_floor
+    rows = min(len(east), top + 1)
+    zero = [0] * size
+    south, out = [], [0] * (rows - 1)  # south arrivals, from the top down
+    s = zero
+    for y in range(rows - 1, 0, -1):
+        s = list(map(add, east[y], s))  # the walks at Y that may step south
+        out[y - 1] = s.pop()
+        s.insert(0, 0)
+        south.append(s)
+    u = s if mirror else zero
+    tot = []
+    for y in range(rows - 1):
+        u = list(map(add, east[y], u))  # the walks at Y that may step north
+        tot.append(list(map(add, u, south.pop())))
+    u = list(map(add, east[rows - 1], u))
+    tot += [u] * (top - rows + 2)
+    return tot, out
+
+
+def _band(p: int, n_max: int, mirror: bool) -> tuple[list, list, list]:
+    """The band of a wedge (see ``count_walks``), built column by column.
+
+    Column X keeps d <= near(X) - 1, near(X) = ceil((n_max - (p+1)*X)/2),
+    at every height 0 <= Y <= p*X; each of its walks has length at most
+    n_max - 1.  A walk that steps out of it, east from column X - 1 with
+    d >= near(X) or south from d = near(X) - 1, is stored per length as an
+    inflow of the line column at its height Y.
+
+    The band walks of each length come from the columns' edges alone.  A
+    walk of length n - 1 steps east, or on in its column: one way after a
+    north or south step and two after an east step, unless the column's
+    top or floor blocks it or it leaves the band.  So, with E[n] the band's
+    east arrivals of length n, E[n] = B[n - 1] - (east outflow at n) and
+
+        B[n] = E[n] + E[n - 1] + B[n - 1] - (blocked at n - 1) - (south outflow at n).
+
+    A walk is blocked by the top Y = p*X after an east or north step, which
+    is every walk there, and by a wall floor after an east or south step,
+    which is every walk on Y = 0.  With ``mirror`` B counts the whole
+    symmetric band: each stored walk off Y = 0 has a mirror walk, the floor
+    blocks nothing, and the bottom Y = -p*X mirrors the top, so the blocked
+    walks, the south outflow and the east outflow off Y = 0 count twice.
+
+    Returns B over the lengths 0..n_max, and the east and south inflows of
+    each length, each a flat list Y, walks, Y, walks, ...
+    """
+    q, twice = p + 1, 2 if mirror else 1
+    blocked = [0] * (n_max + 1)  # at n: the walks of length n - 1 blocked
+    out_e, out_s = [0] * (n_max + 1), [0] * (n_max + 1)
+    east_in = [[] for _ in range(n_max + 1)]
+    south_in = [[] for _ in range(n_max + 1)]
+    x, east = 0, [[1] + [0] * (n_max // 2)]  # the empty walk enters column 0
+    while True:
+        size = (n_max + 1 - q * x) // 2  # near(X)
+        for y, row in enumerate(east):
+            n = x + y + 2 * max(size, 0)
+            for c in row[max(size, 0):]:
+                if c:
+                    east_in[n] += y, c
+                    out_e[n] += c if y == 0 else twice * c
+                n += 2
+        if size <= 0:
+            break
+        top = p * x
+        tot, out = _column(east, size, top, mirror)
+        n = x + 2 * size
+        for y, c in enumerate(out):
+            if c:
+                south_in[n] += y, c
+                out_s[n] += c
+            n += 1
+        for y in (top,) if mirror else (top, 0):
+            lo, hi = x + y + 1, x + y + 2 * size
+            blocked[lo:hi:2] = map(add, blocked[lo:hi:2], tot[y])
+        x, east = x + 1, tot
+    walks, e_prev, b = [], 0, 0
+    for n in range(n_max + 1):
+        e = (b if n else 1) - out_e[n]
+        b += e + e_prev - twice * (blocked[n] + out_s[n])
+        walks.append(b)
+        e_prev = e
+    return walks, east_in, south_in
 
 
 def _line_step(line: tuple, shift: int) -> tuple[tuple, list]:
@@ -258,22 +290,23 @@ def count_walks(model: WedgeModel, n_max: int) -> CountTable:
     The two wedges keep only a band near the line Y = p*X.  The line still
     constrains a walk at index d only if the walk could step over it within
     the N - n steps left (N = n_max), that is p*X - Y + 1 <= N - n, or
-    d < near(X) = ceil((N - (p+1)*X)/2), a bound that does not depend on n;
-    so column X keeps
+    d < near(X) = ceil((N - (p+1)*X)/2), a bound that depends on neither n
+    nor Y; so column X keeps d <= near(X) - 1 at every height 0 <= Y <= p*X,
+    and ``_band`` builds the band column by column, each at all of its
+    lengths (``_column``).
 
-        max(0, ceil((n - (p+1)*X)/2)) <= d <= min(floor((n - X)/2), near(X) - 1).
-
-    A walk that can no longer reach Y = p*X never feels that line again.  The
-    step that builds each band column (``_wedge_step``) sends the cells that
-    leave the band, by an east step from column X - 1 or a south step from
-    d = near(X) - 1, straight into one line column indexed by Y, which steps
-    as the ``halfplane`` model for the asymmetric wedge, whose floor Y = 0 is
-    a wall, and as the ``free`` model for the symmetric wedge, which can no
-    longer reach Y = -p*X either (``_line_step``).  The symmetric wedge and
-    ``free`` are stored as their half Y >= 0 with a mirror floor: the
-    reflection Y -> -Y swaps north and south arrivals, so the north arrivals
-    at a Y = 0 cell equal its south arrivals, and the count is
-    2*(all stored walks) - (those on Y = 0).
+    A walk that can no longer reach Y = p*X never feels that line again.
+    The walks that leave the band, by an east step from column X - 1 or a
+    south step from d = near(X) - 1, are kept by length as inflows to one
+    line column indexed by Y, which steps over n as the ``halfplane`` model
+    for the asymmetric wedge, whose floor Y = 0 is a wall, and as the
+    ``free`` model for the symmetric wedge, which can no longer reach
+    Y = -p*X either (``_line_step``).  The symmetric wedge and ``free`` are
+    stored as their half Y >= 0 with a mirror floor: the reflection
+    Y -> -Y swaps north and south arrivals, so the north arrivals at a Y = 0
+    cell equal its south arrivals, and the line's count is
+    2*(all stored walks) - (those on Y = 0); the band's count is of the
+    whole symmetric band already.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -294,30 +327,41 @@ def count_walks(model: WedgeModel, n_max: int) -> CountTable:
             return e[0] + u[0] + d[0]
         return e[0]
 
-    band, line = [], ([1], [0], [0])
-    if model.kind in ("symmetric", "asymmetric"):
-        band, line = [(0, [1], [0], [0])], ([0], [0], [0])
-    on_floor = 1  # walks on Y = 0 at the current length (mirrored models)
+    wedge = model.kind in ("symmetric", "asymmetric")
+    band, line = [0] * (n_max + 1), ([1], [0], [0])
+
+    def pour(n):
+        # the walks that leave the band at length n enter the line column
+        e, _u, d = line
+        for inflow, cells in ((east_in[n], e), (south_in[n], d)):
+            pairs = iter(inflow)
+            for y, c in zip(pairs, pairs):
+                cells[y] += c
+
+    if wedge:
+        band, east_in, south_in = _band(model.p, n_max, mirrored)
+        line = ([0], [0], [0])
+        pour(0)
+    on_floor = line[0][0]  # line walks on Y = 0 at the current length (mirrored models)
     counts = []
     for n in range(1, n_max + 1):
         if pinned:
             counts.append(pinned_count(line))
         line, line_cells = _line_step(line, shift)
-        band_total = band_floor = 0
-        if band:
-            band, band_total, band_floor = _wedge_step(band, n, model.p, n_max, line, mirrored)
         if not pinned:  # the walks of length n - 1
-            total = band_total + sum(line_cells)
-            counts.append(2 * total - on_floor if mirrored else total)
+            total = sum(line_cells)
+            counts.append(band[n - 1] + (2 * total - on_floor if mirrored else total))
+        if wedge:
+            pour(n)
         if mirrored:
             e, u, d = line
             u[0] = d[0]
-            on_floor = band_floor + e[0] + 2 * d[0]
+            on_floor = e[0] + 2 * d[0]
     if pinned:
         counts.append(pinned_count(line))
     else:
-        total = sum(sum(e) + sum(u) + sum(d) for _lo, e, u, d in band) + sum(map(sum, line))
-        counts.append(2 * total - on_floor if mirrored else total)
+        total = sum(map(sum, line))
+        counts.append(band[n_max] + (2 * total - on_floor if mirrored else total))
     return CountTable(model, counts)
 
 
@@ -446,10 +490,13 @@ class WeightedSeries:
 def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
     """Trivariate DP for f_p (symmetric) or h_p (asymmetric).
 
-    The wedge step of ``count_walks`` over all of 0 <= Y <= p*X, with no
-    band.  The symmetric wedge is stepped as its half Y >= 0 with the mirror
-    floor, and each horizontal ender there is written under (n, i, j) and,
-    for its mirror walk at -Y, (n, j, i); on Y = 0 the two keys are one.
+    The column builder of ``count_walks`` with no band: column X keeps
+    d <= (order - X)/2 at each height Y <= min(p*X, order - X), which holds
+    every cell of length at most the order.  The symmetric wedge is built as
+    its half Y >= 0 with the mirror floor, and each horizontal ender there
+    is written under (n, i, j) and, for its mirror walk at -Y, (n, j, i); on
+    Y = 0 the two keys are one.  The entries are inserted in (n, i, j)
+    order, so that the sort of ``WeightedSeries.to_json`` is one pass.
     """
     if kind not in ("symmetric", "asymmetric"):
         raise ValueError("weighted series exist for the symmetric and asymmetric models only")
@@ -459,20 +506,31 @@ def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
         raise BudgetError(f"weighted order {order} exceeds the budget of 60")
     WedgeModel(kind, p)  # refuses p < 1
     mirror = kind == "symmetric"
-    entries: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    columns = [(0, [1], [0], [0])]
-    for n in range(1, order + 1):
-        columns, _total, _floor = _wedge_step(columns, n, p, None, mirror=mirror)
-        # i = p*X - Y is the distance below the upper line and j = span - i
-        # the distance above the lower line Y = -p*X (symmetric) or Y = 0; at
-        # Y = n - X - 2d a step down the column adds 2 to i
-        for x, (lo, e, _u, _d) in enumerate(columns):
-            i = (p + 1) * x - n + 2 * lo
-            span = 2 * p * x if mirror else p * x
-            for c in e:
-                if c:
-                    entries[n, i, span - i] = c
-                    if mirror:  # the mirror walk, at -Y
-                        entries[n, span - i, i] = c
-                i += 2
+    # a row, the walks at (X, Y) over d, is one (i, j): i = p*X - Y is the
+    # distance below the upper line and j = span - i the distance above the
+    # lower line Y = -p*X (symmetric) or Y = 0; it is kept at the lengths
+    # n0, n0 + 2, ... through the order, n0 = X + Y
+    starts = [[] for _ in range(order + 1)]  # (i, j, cells) by n0
+    east = [[1] + [0] * (order // 2)]  # the empty walk enters column 0
+    starts[0].append((0, 0, iter(east[0])))
+    for x in range(order):
+        # column X, then its walks as the horizontal enders at X + 1
+        east = _column(east, (order - x) // 2 + 1, min(p * x, order - x), mirror)[0]
+        span = 2 * p * (x + 1) if mirror else p * (x + 1)
+        for y, row in enumerate(east[:order - x]):
+            i, n = p * (x + 1) - y, x + 1 + y
+            row = row[:(order - n) // 2 + 1]
+            starts[n].append((i, span - i, iter(row)))
+            if mirror and y:  # the mirror walks, at -Y
+                starts[n].append((span - i, i, iter(row)))
+    entries: dict[tuple[int, int, int], int] = {}
+    live = [[], []]  # the begun rows of each parity of n, sorted by (i, j)
+    for n, new in enumerate(starts):
+        rows = live[n & 1]
+        rows += new
+        rows.sort()
+        for i, j, cells in rows:
+            c = next(cells)
+            if c:
+                entries[n, i, j] = c
     return WeightedSeries(kind, p, order, entries)

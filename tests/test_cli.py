@@ -402,8 +402,9 @@ class TestReport:
 #: and at p = 2, order 41, sym_f1 at order 300 and the p-pieces at --nmax 120
 #: at aee20bd; closedform at orders 0 and 41 (the h1 verdict capped below
 #: k1's order), the p-pieces at --nmax 12 (middle padded with zeros) and
-#: funceq at its default order 30 at 8df29f0.  A refactor must leave every
-#: one unchanged
+#: funceq at its default order 30 at 8df29f0; counts at the benchmark's
+#: largest lengths (symmetric p = 1, n = 141; asymmetric p = 3, n = 102) at
+#: 647041b.  A refactor must leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -477,6 +478,8 @@ PINNED = {
     "verify --suite closedform --order 0": "cdb93950b2d731ed",
     "asympt --const p-pieces --nmax 12": "cc7d1535c6f4e380",
     "verify --suite funceq --order 30": "f0c981cdabb79c14",
+    "count --model symmetric --p 1 --n 141 --format json": "260c6e842ec64678",
+    "count --model asymmetric --p 3 --n 102 --format json": "9cb3894d3bfd8408",
 }
 
 

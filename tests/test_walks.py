@@ -125,6 +125,33 @@ class TestCounts:
                 assert count_walks(WedgeModel(kind, p), n_max).counts == \
                     reference[:n_max + 1], (p, n_max)
 
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_band_equals_dict_reference_at_steep_slopes(self, kind):
+        # columns with more heights (p*X + 1) than kept cells in d
+        for p in (7, 10):
+            assert count_walks(WedgeModel(kind, p), 100).counts == \
+                _reference_counts(kind, p, 100), p
+
+    @pytest.mark.parametrize("kind,p", _slopes(["symmetric", "asymmetric"]))
+    def test_columns_are_built_once(self, monkeypatch, kind, p):
+        # a builder run per length, not per column, fails these bounds
+        column = walks._column
+        built = []
+
+        def counted(*args):
+            built.append(1)
+            return column(*args)
+
+        monkeypatch.setattr(walks, "_column", counted)
+        for n_max in (0, 1, 2, 7, 60, 141):
+            built.clear()
+            count_walks(WedgeModel(kind, p), n_max)
+            assert len(built) <= -(-n_max // (p + 1)) + 1, n_max
+        for order in (0, 1, 12, 60):
+            built.clear()
+            weighted_gf(kind, p, order)
+            assert len(built) <= order + 1, order
+
     @pytest.mark.parametrize("kind,closed_form", [("symmetric", cf.gf_sym_g1),
                                                   ("asymmetric", cf.gf_asym_k1)])
     def test_band_equals_closed_form_at_benchmark_sizes(self, kind, closed_form):
@@ -145,9 +172,9 @@ class TestCounts:
         def no_step(*_args):
             raise AssertionError("the DP started")
 
-        # each wedge length takes a line step and a wedge step: the guard
+        # a wedge builds band columns and steps the line column: the guard
         # below is empty unless patching either one stops a small DP
-        for step in ("_wedge_step", "_line_step"):
+        for step in ("_column", "_line_step"):
             with monkeypatch.context() as patch:
                 patch.setattr(walks, step, no_step)
                 with pytest.raises(AssertionError, match="the DP started"):
@@ -275,26 +302,35 @@ class TestWeighted:
 
     @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
     def test_entries_equal_dict_reference(self, kind):
-        for p in (1, 2, 3, 4):
-            assert weighted_gf(kind, p, 40).entries == _reference_weighted(kind, p, 40), p
+        # order 60 is the budget edge, where each column is cut at Y <= order - X
+        for p in (1, 2, 3, 4, 5, 7):
+            for order in (40, 60):
+                assert weighted_gf(kind, p, order).entries == \
+                    _reference_weighted(kind, p, order), (p, order)
+
+    @pytest.mark.parametrize("kind,p", _slopes(["symmetric", "asymmetric"]))
+    def test_entries_are_inserted_in_key_order(self, kind, p):
+        # to_json sorts the keys, which costs one pass when they are in order
+        entries = weighted_gf(kind, p, 30).entries
+        assert list(entries) == sorted(entries)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_symmetric_steps_only_its_half(self, monkeypatch, p):
         # the mirror floor stores 0 <= Y <= p*X, the asymmetric wedge's cells
-        step = walks._wedge_step
+        column = walks._column
 
         def cells(kind):
-            stepped = []
+            built = []
 
-            def counted(*args, **kwargs):
-                band, total, on_floor = step(*args, **kwargs)
-                stepped.append(sum(len(e) for _lo, e, _u, _d in band))
-                return band, total, on_floor
+            def counted(*args):
+                tot, out = column(*args)
+                built.append(sum(map(len, tot)))
+                return tot, out
 
             with monkeypatch.context() as patch:
-                patch.setattr(walks, "_wedge_step", counted)
+                patch.setattr(walks, "_column", counted)
                 weighted_gf(kind, p, 30)
-            return sum(stepped)
+            return sum(built)
 
         assert cells("symmetric") == cells("asymmetric") > 0
 
