@@ -32,13 +32,14 @@ floor (symmetric wedge, see below).  The state budget alone is defined on
 the whole domain -w*X <= Y <= p*X, with w = p for the symmetric wedge and
 w = 0 for the asymmetric one (``_frontier_size``).
 
-``weighted_gf`` needs every endpoint and keeps every cell of length at most
-its order.  ``count_walks`` needs only the totals, so it keeps a band of
-each column: the cells that can still reach Y = p*X in the steps left to
-n_max, which is d < near(X) at every height (``_band``).  A cell that
-leaves the band is stored by length as an inflow to one column indexed by
-its height Y, where it steps as a ``halfplane`` walk (asymmetric wedge) or a
-``free`` walk (symmetric wedge) from then on.  The band's totals by length
+``weighted_gf`` needs every endpoint, so it keeps at each height the cells
+whose east step ends at most its order long, fewer the higher the row
+(the ``sizes`` of ``_column``).  ``count_walks`` needs only the totals, so
+it keeps a band of each column: the cells that can still reach Y = p*X in
+the steps left to n_max, which is d < near(X) at every height (``_band``).
+A cell that leaves the band is stored by length as an inflow to one column
+indexed by its height Y, where it steps as a ``halfplane`` walk (asymmetric
+wedge) or a ``free`` walk (symmetric wedge) from then on.  The band's totals by length
 come from the top and floor of each column, with no pass over its cells.
 
 The five line models, and that height column, are one column indexed by the
@@ -55,9 +56,12 @@ the frontier size at any length is known before the first step.
 
 from __future__ import annotations
 
+import functools
 import json
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import add
 
 from .errors import BudgetError
@@ -156,16 +160,18 @@ def _frontier_size(model: WedgeModel, n: int) -> int:
                for x in range(n + 1))
 
 
-def _column(east: list, size: int, top: int, mirror: bool) -> tuple[list, list]:
+def _column(east: list, sizes: list, mirror: bool) -> tuple[list, list]:
     """The whole history of one wedge column X: every height at every length.
 
     ``east[Y]`` lists, over d = 0, 1, ..., the walks at (X - 1, Y) after d
     south steps; each steps east to (X, Y) with the same d, and each row
-    holds at least ``size`` cells.  Column X is built over the heights
-    Y = 0..top and d = 0..size - 1, its cell (Y, d) at length n = X + Y + 2d;
-    heights Y >= len(east) get no east arrivals.  An east step may follow
-    any step, a north step any but a south one, and a south step any but a
-    north one, so
+    holds at least ``sizes[Y]`` cells.  Column X is built over the heights
+    Y = 0..top, top = len(sizes) - 1, and at height Y over d = 0..sizes[Y] - 1,
+    its cell (Y, d) at length n = X + Y + 2d; ``sizes`` never rises with Y,
+    and falls by at most one from one height to the next.  Heights
+    Y >= len(east) get no east arrivals.  An east step may follow any step,
+    a north step any but a south one, and a south step any but a north one,
+    so
 
         north arrivals at Y = east + north arrivals at Y - 1, same d
         south arrivals at Y = east + south arrivals at Y + 1, at d - 1:
@@ -174,28 +180,29 @@ def _column(east: list, size: int, top: int, mirror: bool) -> tuple[list, list]:
     north arrivals without ``mirror`` (a wall floor, the asymmetric wedge)
     and its own south arrivals with it (the mirror floor of the symmetric
     wedge, see ``count_walks``).  Above the last east row every walk arrived
-    by north steps, so those heights share one list.
+    by north steps, so those heights share one list, which may hold more
+    cells than they keep.
 
-    Returns (tot, out): tot[Y], the walks at (X, Y) over d = 0..size - 1,
-    and out[Y], the south arrivals at (X, Y) with d = size, which leave the
-    kept range (none reach the heights Y >= len(east) - 1).
+    Returns (tot, out): tot[Y], the walks at (X, Y) over d = 0..sizes[Y] - 1,
+    and out[Y], the south arrivals at (X, Y) with d = sizes[Y], which leave
+    the kept range (none reach the heights Y >= len(east) - 1).
     """
-    rows = min(len(east), top + 1)
-    zero = [0] * size
+    rows = min(len(east), len(sizes))
     south, out = [], [0] * (rows - 1)  # south arrivals, from the top down
-    s = zero
+    s = [0] * sizes[rows - 1]
     for y in range(rows - 1, 0, -1):
         s = list(map(add, east[y], s))  # the walks at Y that may step south
-        out[y - 1] = s.pop()
+        if len(s) == sizes[y - 1]:
+            out[y - 1] = s.pop()
         s.insert(0, 0)
         south.append(s)
-    u = s if mirror else zero
+    u = s if mirror else [0] * sizes[0]
     tot = []
     for y in range(rows - 1):
         u = list(map(add, east[y], u))  # the walks at Y that may step north
         tot.append(list(map(add, u, south.pop())))
     u = list(map(add, east[rows - 1], u))
-    tot += [u] * (top - rows + 2)
+    tot += [u] * (len(sizes) - rows + 1)
     return tot, out
 
 
@@ -244,7 +251,7 @@ def _band(p: int, n_max: int, mirror: bool) -> tuple[list, list, list]:
         if size <= 0:
             break
         top = p * x
-        tot, out = _column(east, size, top, mirror)
+        tot, out = _column(east, [size] * (top + 1), mirror)
         n = x + 2 * size
         for y, c in enumerate(out):
             if c:
@@ -443,60 +450,81 @@ class WeightedSeries:
     functional equation holds identically; appending a run of k up steps that
     lands on the upper boundary maps a^i b^j to y^k b^(i+j), which is exactly
     the a -> y*b substitution.
+
+    The counts are held as ``weighted_gf`` finds them: ``ends`` lists the
+    endpoints (i, j), and ``lengths[n]`` is (ids, counts), the indices into
+    ``ends`` of the endpoints reached at length n, in (i, j) order, and the
+    nonzero count at each.  The series and the JSON text read them there;
+    ``entries`` is the dictionary view, built on first use.
     """
 
-    def __init__(self, kind: str, p: int, order: int,
-                 entries: dict[tuple[int, int, int], int]):
+    def __init__(self, kind: str, p: int, order: int, ends: list[tuple[int, int]],
+                 lengths: list[tuple[list[int], list[int]]]):
         self.kind = kind
         self.p = p
         self.order = order
-        self.entries = entries
+        self.ends = ends
+        self.lengths = lengths
+
+    def terms(self):
+        """(n, count, i, j) for every entry, in (n, i, j) order."""
+        ends = self.ends
+        for n, (ids, counts) in enumerate(self.lengths):
+            for e, c in zip(ids, counts):
+                i, j = ends[e]
+                yield n, c, i, j
+
+    @functools.cached_property
+    def entries(self) -> dict[tuple[int, int, int], int]:
+        return {(n, i, j): c for n, c, i, j in self.terms()}
 
     def series_at(self, a: Fraction, b: Fraction) -> TSeries:
         """f(a, b) as a series in t at rational a, b."""
-        return _monomial_sum(((n, c, i, j) for (n, i, j), c in self.entries.items()),
-                             a, b, self.order)
+        return _monomial_sum(self.terms(), a, b, self.order)
 
     def series_lower(self, a: Fraction) -> TSeries:
         """f(a, t*a): the b -> t*a specialization (endpoint on the lower line)."""
-        return _monomial_sum(((n + j, c, i + j, 0) for (n, i, j), c in self.entries.items()),
+        return _monomial_sum(((n + j, c, i + j, 0) for n, c, i, j in self.terms()),
                              a, 1, self.order)
 
     def series_upper(self, b: Fraction) -> TSeries:
         """f(t*b, b): the a -> t*b specialization (endpoint on the upper line)."""
-        return _monomial_sum(((n + i, c, 0, i + j) for (n, i, j), c in self.entries.items()),
+        return _monomial_sum(((n + i, c, 0, i + j) for n, c, i, j in self.terms()),
                              1, b, self.order)
 
     def horizontal_counts(self) -> list[int]:
         """a = b = 1 collapse: counts of horizontal-ending walks by length."""
-        out = [0] * (self.order + 1)
-        for (n, _i, _j), c in self.entries.items():
-            out[n] += c
-        return out
+        return [sum(counts) for _ids, counts in self.lengths]
 
     def to_json(self) -> str:
         """The entries as [n, i, j, "count"] sorted by (n, i, j), keys sorted.
 
         Written by hand: the same bytes as ``json.dumps(..., sort_keys=True)``
-        of the lists, about 30 % faster, as no list is built per entry and
-        only the integer keys are sorted.
+        of the lists, in about a third of the time, as each endpoint's
+        "i, j" is written once and each length's "[n, " once.
         """
-        ents = self.entries
-        rows = ", ".join([f'[{n}, {i}, {j}, "{ents[n, i, j]}"]' for n, i, j in sorted(ents)])
-        return (f'{{"entries": [{rows}], "model": {json.dumps(self.kind)}, '
+        ends = [f"{i}, {j}" for i, j in self.ends]
+        rows = []
+        for n, (ids, counts) in enumerate(self.lengths):
+            head = f"[{n}, "
+            rows += [f'{head}{ends[e]}, "{c}"]' for e, c in zip(ids, counts)]
+        return (f'{{"entries": [{", ".join(rows)}], "model": {json.dumps(self.kind)}, '
                 f'"order": {self.order}, "p": {self.p}, "schema": 1}}')
 
 
 def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
     """Trivariate DP for f_p (symmetric) or h_p (asymmetric).
 
-    The column builder of ``count_walks`` with no band: column X keeps
-    d <= (order - X)/2 at each height Y <= min(p*X, order - X), which holds
-    every cell of length at most the order.  The symmetric wedge is built as
-    its half Y >= 0 with the mirror floor, and each horizontal ender there
-    is written under (n, i, j) and, for its mirror walk at -Y, (n, j, i); on
-    Y = 0 the two keys are one.  The entries are inserted in (n, i, j)
-    order, so that the sort of ``WeightedSeries.to_json`` is one pass.
+    The column builder of ``count_walks`` with no band: column X keeps, at
+    each height Y <= min(p*X, order - X - 1), the cells whose east step ends
+    at most the order long, d <= (order - X - Y - 1)/2, which holds every
+    horizontal ender of length at most the order.  The symmetric wedge is
+    built as its half Y >= 0 with the mirror floor, and each horizontal
+    ender there is written under (i, j) and, for its mirror walk at -Y,
+    (j, i); on Y = 0 the two are one.  Each row, the walks at one (X, Y)
+    over d, is one endpoint of ``WeightedSeries.ends``; the rows of each
+    parity of n are kept in (i, j) order, so every length reads its counts
+    in key order with no sort.
     """
     if kind not in ("symmetric", "asymmetric"):
         raise ValueError("weighted series exist for the symmetric and asymmetric models only")
@@ -508,29 +536,32 @@ def weighted_gf(kind: str, p: int, order: int) -> WeightedSeries:
     mirror = kind == "symmetric"
     # a row, the walks at (X, Y) over d, is one (i, j): i = p*X - Y is the
     # distance below the upper line and j = span - i the distance above the
-    # lower line Y = -p*X (symmetric) or Y = 0; it is kept at the lengths
+    # lower line Y = -p*X (symmetric) or Y = 0; it is read at the lengths
     # n0, n0 + 2, ... through the order, n0 = X + Y
-    starts = [[] for _ in range(order + 1)]  # (i, j, cells) by n0
+    starts = [[] for _ in range(order + 1)]  # ((i, j), cells) by n0
     east = [[1] + [0] * (order // 2)]  # the empty walk enters column 0
-    starts[0].append((0, 0, iter(east[0])))
+    starts[0].append(((0, 0), east[0]))
     for x in range(order):
-        # column X, then its walks as the horizontal enders at X + 1
-        east = _column(east, (order - x) // 2 + 1, min(p * x, order - x), mirror)[0]
+        # column X, then its walks as the horizontal enders at X + 1, kept
+        # where those are at most the order long
+        sizes = [(order + 1 - x - y) // 2 for y in range(min(p * x, order - x - 1) + 1)]
+        east = _column(east, sizes, mirror)[0]
         span = 2 * p * (x + 1) if mirror else p * (x + 1)
-        for y, row in enumerate(east[:order - x]):
+        for y, row in enumerate(east):
             i, n = p * (x + 1) - y, x + 1 + y
-            row = row[:(order - n) // 2 + 1]
-            starts[n].append((i, span - i, iter(row)))
+            starts[n].append(((i, span - i), row))
             if mirror and y:  # the mirror walks, at -Y
-                starts[n].append((span - i, i, iter(row)))
-    entries: dict[tuple[int, int, int], int] = {}
-    live = [[], []]  # the begun rows of each parity of n, sorted by (i, j)
+                starts[n].append(((span - i, i), row))
+    ends, lengths = [], []
+    live = [([], [], []), ([], [], [])]  # per parity of n: (i, j), id and cells, by (i, j)
     for n, new in enumerate(starts):
-        rows = live[n & 1]
-        rows += new
-        rows.sort()
-        for i, j, cells in rows:
-            c = next(cells)
-            if c:
-                entries[n, i, j] = c
-    return WeightedSeries(kind, p, order, entries)
+        keys, ids, cells = live[n & 1]
+        for key, row in new:
+            at = bisect(keys, key)
+            keys.insert(at, key)
+            ids.insert(at, len(ends))
+            cells.insert(at, iter(row))
+            ends.append(key)
+        counts = list(map(next, cells))
+        lengths.append((list(compress(ids, counts)), list(compress(counts, counts))))
+    return WeightedSeries(kind, p, order, ends, lengths)

@@ -334,6 +334,24 @@ class TestWeighted:
 
         assert cells("symmetric") == cells("asymmetric") > 0
 
+    @pytest.mark.parametrize("kind,p", _slopes(["symmetric", "asymmetric"]))
+    def test_columns_keep_only_enders_within_the_order(self, monkeypatch, kind, p):
+        # cell (X, Y, d) of a column is read as the ender at X + 1, of length
+        # X + 1 + Y + 2d; none longer than the order is built
+        column = walks._column
+        built = []
+
+        def counted(east, sizes, mirror):
+            built.append(sum(sizes))
+            return column(east, sizes, mirror)
+
+        monkeypatch.setattr(walks, "_column", counted)
+        for order in (0, 1, 12, 31):
+            built.clear()
+            weighted_gf(kind, p, order)
+            assert sum(built) == sum(1 for x in range(order) for y in range(p * x + 1)
+                                     for d in range(order) if x + 1 + y + 2 * d <= order)
+
     @pytest.mark.parametrize("kind,p", [("symmetric", 1), ("asymmetric", 2)])
     def test_evaluation_equals_fraction_formula(self, kind, p):
         w = weighted_gf(kind, p, 16)
