@@ -273,16 +273,24 @@ def theta_sum(kind: str, arg, order: int) -> TSeries:
 
 
 def gf_F_aya(a, order: int) -> TSeries:
-    """F(a, t*a) for the symmetric model: (1 + Q/t) * alternating theta sum."""
-    w = order + 6
+    """F(a, t*a) for the symmetric model: (1 + Q/t) * alternating theta sum.
+
+    The shift by -1 loses one order, and the theta sum needs Q known to its
+    leading term t^3: the working order is max(order + 1, 3).
+    """
+    w = max(order + 1, 3)
     q = kernel.q_sym(a, w)
     res = (1 + q.shift(-1)) * alternating_theta(q, kernel.q_relation("symmetric", a, w), w)
     return res.truncate(order)
 
 
 def gf_H_aya_simplified(a, order: int) -> TSeries:
-    """H(a, t*a) for the asymmetric model, simplified sum form."""
-    w = order + 8
+    """H(a, t*a) for the asymmetric model, simplified sum form.
+
+    The prefactor's shift by -4 loses 4 orders, so the working order is
+    order + 4.
+    """
+    w = order + 4
     a = Fraction(a)
     q = kernel.q_asym(a, w)
     pref = (tpoly({0: 1, 2: -1}, w) * q).shift(-4) / a
@@ -303,8 +311,13 @@ def gf_H_aya_raw(a, order: int) -> TSeries:
     the factors of term n are built only to the order that its prefactor
     lifts to the working order.  No factor is cancelled against another:
     n1/d1 stays beside the m = n factor d1/n1, as printed.
+
+    Term n is built to w - v, v = 2(n+1)^2 - 3 the valuation of its
+    prefactor, and divides by d1, of valuation 1; the last term has v up to
+    order + 4, so the working order is order + 5 (at order + 4, d1 is zero
+    to its order at orders 1, 11, 25 and 43).
     """
-    w = order + 10
+    w = order + 5
     a = Fraction(a)
     beta_w = kernel.root("asymmetric", "beta-", a, w)
     acc = TSeries.zero(w)

@@ -31,6 +31,17 @@ The identity helpers (``group_law_check``, ``mixed_inverse_check``,
 ``script_coeffs``, the ``residual_*`` functions) return only the series to
 compare or the residuals that must vanish; ``suites`` turns them into
 verdicts.
+
+Every builder asked for a series to ``order`` works at the order its result
+needs, order + the orders its formula loses, and no higher: a division by a
+series of valuation v loses v orders (``TSeries.div``) and a shift by -k
+loses k.  Each docstring says where its margin comes from.  Where the losses
+were measured, not derived (``script_coeffs``, ``raw_iterated_sum``), the
+margin is the least under which every output of the command-line tool stayed
+byte-identical and every verdict's residuals reached the order it claims.
+The margins only size the work: ``TSeries`` carries the reliable order of
+every result, so a margin too small makes a result short (an
+OrderUnderflowError), never wrong.
 """
 
 from __future__ import annotations
@@ -148,8 +159,14 @@ def root(kind: str, which: str, arg: Arg, order: int) -> TSeries:
     from these, and a branch is the root of larger (``-``) or smaller
     (``+``) valuation; when both roots have one valuation (beta of a
     valuation -1 argument, symmetric), BranchSelectionError refuses it.
+
+    The formula divides by 2tL, of valuation 1 for an argument of valuation
+    >= 0, so for a rational argument the + branch (numerator of valuation 0)
+    comes back 2 orders below the working order and the - branch 1 below;
+    the working order is order + 2.  A series argument is used at its own
+    order, and the root comes back as far as that order carries it.
     """
-    w = order + 6
+    w = order + 2
     s = as_series(arg, w)
     if s.is_zero():
         if isinstance(arg, TSeries):
@@ -223,24 +240,42 @@ class Chain:
 
 def beta_chain(a: Arg, n_max: int, order: int) -> Chain:
     """The symmetric chain of a that ``beta_composed`` reads for every
-    |n| <= n_max at ``order``."""
-    return Chain("symmetric", a, order + 2 * n_max + 10)
+    |n| <= n_max at ``order``.
+
+    Element k has valuation k, so element n_max - 1 must be known to its
+    leading term for element n_max to be built; beta_-1 = beta_0^2 /
+    (L(beta_0) beta_1) divides by beta_1 and comes back 2 orders below the
+    chain (beta_-2, 1 below).  Hence the order max(order + 2, n_max - 1).
+    """
+    return Chain("symmetric", a, max(order + 2, n_max - 1))
 
 
 def gamma_chain(a: Arg, n_max: int, order: int) -> Chain:
     """The asymmetric chain of a that ``gamma_composed`` reads for every
-    0 <= n <= n_max at ``order``."""
-    return Chain("asymmetric", a, order + 4 * n_max + 12)
+    0 <= n <= n_max at ``order``.
+
+    gamma_n is element 2n, of valuation 2n; it is read without a division,
+    so the chain needs ``order``, and element 2n - 1 known to its leading
+    term: the order max(order, 2 n_max - 1).
+    """
+    return Chain("asymmetric", a, max(order, 2 * n_max - 1))
 
 
-def _beta_closed_inverse(n: int, a: Arg, b1: TSeries) -> TSeries:
+def _inverses(a: Arg, b1: TSeries) -> tuple[TSeries, TSeries]:
+    """(1/a, 1/b1) at the order of b1 = beta_1(a), which
+    ``_beta_closed_inverse`` reads for every n."""
+    return as_series(a, b1.order).inverse(), b1.inverse()
+
+
+def _beta_closed_inverse(n: int, inverses: tuple[TSeries, TSeries], w: int) -> TSeries:
     """1/beta_n(a) for the symmetric model, any integer n (three-term
-    solution), from b1 = beta_1(a); reliable to b1.order - |n| - 1."""
-    w = b1.order
+    solution), from ``_inverses(a, b1)`` with b1 = beta_1(a) at order w;
+    reliable to w - |n| - 1."""
+    inv_a, inv_b1 = inverses
     one_m_t2 = tpoly({0: 1, 2: -1}, w)
     c1 = (TSeries.t_power(1 - n, w) - TSeries.t_power(1 + n, w)) / one_m_t2
     c2 = (TSeries.t_power(2 - n, w) - TSeries.t_power(n, w)) / one_m_t2
-    return c1 * b1.inverse() - c2 * as_series(a, w).inverse()
+    return c1 * inv_b1 - c2 * inv_a
 
 
 def beta_closed_input(a: Arg, order: int) -> TSeries:
@@ -254,7 +289,7 @@ def beta_closed(n: int, a: Arg, b1: TSeries, order: int) -> TSeries:
     b1 = ``beta_closed_input(a, order)``."""
     if n == 0:
         return as_series(a, order).truncate(order)
-    return _beta_closed_inverse(n, a, b1).inverse().truncate(order)
+    return _beta_closed_inverse(n, _inverses(a, b1), b1.order).inverse().truncate(order)
 
 
 def beta_composed(n: int, chain: Chain, order: int) -> TSeries:
@@ -330,15 +365,21 @@ def group_law_check(n: int, a: Arg, order: int) -> list[tuple[str, tuple[TSeries
         (the computable form of beta_1(beta_{-1}(a)) = a), as the residuals
         of their sum and product;
       * the three-term reciprocal recurrence at index n.
-    All of them read the one beta_1(a) built here.
+    All of them read the one beta_1(a) built here, and its and a's
+    reciprocals, taken once.  The recurrence multiplies 1/beta_(n-1), of
+    valuation 1 - n, by (1 + t^2)/t, which the division by t leaves 2
+    orders below the working order, so its residual comes n + 1 orders
+    below it (and K(beta_-1, beta_0), 2 below it at n = 1): the working
+    order is order + |n| + 1.
     """
     m_hi = abs(n)
-    w = order + 2 * m_hi + 12
+    w = order + m_hi + 1
     t = tvar(w)
     checks = []
 
     b1 = beta_closed_input(a, w)
-    inv = {m: _beta_closed_inverse(m, a, b1)
+    inverses = _inverses(a, b1)
+    inv = {m: _beta_closed_inverse(m, inverses, b1.order)
            for m in range(min(-m_hi, -2, n - 2), m_hi + 1)}
     ladder = {m: inv[m].inverse().truncate(w) for m in range(min(-m_hi, -2), m_hi + 1)}
     for m in range(-m_hi, m_hi):
@@ -365,8 +406,14 @@ def group_law_check(n: int, a: Arg, order: int) -> list[tuple[str, tuple[TSeries
 
 def mixed_inverse_check(a: Arg, b: Arg, order: int) -> tuple[TSeries, TSeries]:
     """Residuals of alpha_1(beta_-1(a)) = a and beta_1(alpha_-1(b)) = b
-    (asymmetric)."""
-    w = order + 10
+    (asymmetric).
+
+    Each + root of a rational argument, taken as a series, comes back one
+    order below the working order, and the - root of that Laurent series
+    at most one order below that (beta_1(alpha_-1(b))): the working order
+    is order + 2.
+    """
+    w = order + 2
     bm = root("asymmetric", "beta+", as_series(a, w), w)
     lhs1 = root("asymmetric", "alpha-", bm, bm.order)
     am = root("asymmetric", "alpha+", as_series(b, w), w)
@@ -377,8 +424,16 @@ def mixed_inverse_check(a: Arg, b: Arg, order: int) -> tuple[TSeries, TSeries]:
 # -- the Q / Qbar / P series -------------------------------------------------
 
 def _q_inputs(kind: str, a: Arg, order: int) -> tuple[TSeries, TSeries, TSeries]:
-    """(t, a, beta_1(a)) at the working order of a Q series to ``order``."""
-    w = order + 8
+    """(t, a, beta_1(a)) at the working order of a Q series to ``order``.
+
+    Q(a) reads 1/beta_1(a): at a rational a, beta_1 has valuation 1 and
+    its reciprocal comes 2 orders below it.  At a series argument s of
+    valuation 1 (``p_asym``), Q(s) reaches s.order - 2 through its 1/s term
+    at best, and the asymmetric Q reads t/beta_1(s), 3 orders below
+    beta_1(s), of valuation 2; so beta_1(s) is built 3 orders above Q, and
+    the working order is order + 3.
+    """
+    w = order + 3
     s = as_series(a, w)
     return tvar(w), s, root(kind, "beta-", s, w)
 
@@ -405,21 +460,19 @@ def q_asym(a: Arg, order: int) -> TSeries:
 
 
 def q_relation(kind: str, a: Arg, order: int) -> tuple[TSeries, TSeries]:
-    """(A, C) with Q(a)^2 = A Q(a) - C, to ``order``.
+    """(A, C) with Q(a)^2 = A Q(a) - C, to ``order``, at a rational a.
 
     z = 1/beta_1(a) solves t a^2 z^2 - P a z + t L = 0 (the beta-slot
     kernel of ``_slot`` over x^2), and Q = alpha + gamma z (``_q_form``), so
     A = 2 alpha + P gamma / (t a) and C = alpha (A - alpha) + L (gamma / a)^2.
-    Symmetric: A = (1 - t^2)/(t a^2) - 2t, C = t^2; asymmetric:
-    A = (1 - t^2)/a - t - t^3, C = t^4.  At a rational a both are short.
+    These reduce to the Laurent polynomials returned here: symmetric,
+    A = (1 - t^2)/(t a^2) - 2t, C = t^2; asymmetric, A = (1 - t^2)/a - t - t^3,
+    C = t^4.
     """
-    w = order + 4
-    t, s = tvar(w), as_series(a, w)
-    alpha, gamma = _q_form(kind, s, t)
-    p, l = _slot(kind, "beta", s, t)
-    big_a = 2 * alpha + p * gamma / (t * s)
-    c = alpha * (big_a - alpha) + l * (gamma / s) ** 2
-    return big_a.truncate(order), c.truncate(order)
+    a = Fraction(a)
+    if kind == "symmetric":
+        return tpoly({-1: 1 / a**2, 1: -1 / a**2 - 2}, order), TSeries.t_power(2, order)
+    return tpoly({0: 1 / a, 1: -1, 2: -1 / a, 3: -1}, order), TSeries.t_power(4, order)
 
 
 def qbar_asym(a: Arg, order: int) -> TSeries:
@@ -436,9 +489,12 @@ def p_asym(b: Arg, order: int) -> TSeries:
     (at b = 1 it reproduces (1 - 3t^2 - sqrt((1-t^2)(1-5t^2))) / (2t)).
     The undivided composition itself is ``q_asym(s, s.order - 2)`` with
     ``s = root('asymmetric', 'alpha-', b, N)``: Q(s) is reliable only to two
-    orders below s, through its 1/s term.
+    orders below s, through its 1/s term.  With the shift by -2, P(b) comes
+    4 orders below s, and s comes one order below the working order at
+    b = -1, where L of the alpha slot has valuation 2: the working order is
+    order + 5.
     """
-    w = order + 10
+    w = order + 5
     s = root("asymmetric", "alpha-", as_series(b, w), w)
     # s = b*t + ... may come back short of w (at b = -1 by one order)
     return q_asym(s, s.order - 2).shift(-2).truncate(order)
@@ -503,8 +559,14 @@ def script_coeffs(n: int, a: Arg, order: int) -> list[tuple[str, TSeries, TSerie
     forms and simplified closed forms, and the useful expressions and ratios
     of the closed-form reciprocals.  Returns the 15 (identity, lhs, rhs)
     triples, each of which must agree mod t^(order+1).
+
+    The losses grow with the valuations of the composed roots (g_n has
+    valuation 2n) and are measured, not derived: the Z_n residual comes
+    4n + 5 orders below the working order, and at n = 0 the first ratio
+    comes 6 below it, so the working order is order + 4n + 6 (with 4n + 5 or
+    3n + 6, a residual falls short of ``order``).
     """
-    w = order + 4 * (n + 1) + 16
+    w = order + 4 * n + 6
     t = tvar(w)
     chain = Chain("asymmetric", a, w)
     g_n, bg, g_n1 = chain[2 * n], chain[2 * n + 1], chain[2 * n + 2]
@@ -563,8 +625,12 @@ def raw_iterated_sum(a: Arg, order: int) -> TSeries:
     Sums B_n * prod(C_m, m < n) with the B/C taken from the raw quotients of
     (X, Y, Z) at the composed roots; term n has valuation >= 2n^2 so the sum
     truncates by valuation.
+
+    The working order is order + 4, the least that kept every output
+    byte-identical: at order + 3, order 0 reads gamma_2 (valuation 4) from a
+    chain known to t^3, a zero series, and divides by it.
     """
-    w = order + 8
+    w = order + 4
     acc = TSeries.zero(w)
     prod = TSeries.constant(1, w)
     chain = Chain("asymmetric", a, w)

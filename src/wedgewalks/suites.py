@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import closedforms as cf
 from . import discrepancies, kernel
-from .series import TSeries, tpoly
+from .series import OrderUnderflowError, TSeries, tpoly
 from .walks import WedgeModel, count_walks, weighted_gf
 
 
@@ -57,8 +57,14 @@ def _verdict(suite: str, identity: str, order: int, *residuals: TSeries,
 
     A mismatch on an identity that names the discrepancy-ledger entry
     ``ledger`` is "reported", with a note taken from that entry (an unknown
-    id raises KeyError); any other mismatch is a "fail".
+    id raises KeyError); any other mismatch is a "fail".  A residual
+    reliable to less than ``order`` cannot back the verdict, and raises
+    OrderUnderflowError.
     """
+    for r in residuals:
+        if r.order < order:
+            raise OrderUnderflowError(
+                f"{identity}: a residual is reliable to t^{r.order}, below the order {order}")
     bad = _first_bad(order, *residuals)
     note = f"ledger {ledger}: {discrepancies.get(ledger).title}" if ledger else ""
     status = "pass" if bad is None else "reported" if ledger else "fail"

@@ -404,7 +404,9 @@ class TestReport:
 #: k1's order), the p-pieces at --nmax 12 (middle padded with zeros) and
 #: funceq at its default order 30 at 8df29f0; counts at the benchmark's
 #: largest lengths (symmetric p = 1, n = 141; asymmetric p = 3, n = 102) at
-#: 647041b.  A refactor must leave every one unchanged
+#: 647041b; H_aya_raw at a = 2/3 and the P-ratio sum at a = 1/2, both at
+#: order 18 (rational root arguments whose working orders are sized by what
+#: each formula loses), at 3d4696d.  A refactor must leave every one unchanged
 PINNED = {
     "series --kind free --order 24 --format json": "6e5add70365385e4",
     "series --kind dyck --order 24 --format json": "15ca4f1eac0caf2d",
@@ -480,6 +482,8 @@ PINNED = {
     "verify --suite funceq --order 30": "f0c981cdabb79c14",
     "count --model symmetric --p 1 --n 141 --format json": "260c6e842ec64678",
     "count --model asymmetric --p 3 --n 102 --format json": "9cb3894d3bfd8408",
+    "series --kind H_aya_raw --a 2/3 --order 18 --format json": "f286ef64ba0777cd",
+    "series --kind theta_asym_p --a 1/2 --order 18 --format json": "3add8cf5d6a7dda2",
 }
 
 

@@ -331,6 +331,27 @@ class TestGroupLaw:
         assert _group_law_holds(n, Fraction(2, 3), 20)
 
 
+def _least_residual_orders(order):
+    """The least reliable order among the residuals of each group-law,
+    mixed-inverse and script-coefficient call that suite_kernel(order) makes."""
+    least = [min(r.order for _name, residuals in kernel.group_law_check(n, a, order)
+                 for r in residuals)
+             for n, a in ((1, Fraction(1)), (3, Fraction(1, 2)), (5, Fraction(2, 3)))]
+    least.append(min(r.order for r in kernel.mixed_inverse_check(Fraction(1, 2),
+                                                                 Fraction(1, 3), order)))
+    least += [min((lhs - rhs).order for _name, lhs, rhs
+                  in kernel.script_coeffs(n, Fraction(1, 2), order)) for n in (0, 1, 2)]
+    return least
+
+
+@pytest.mark.parametrize("order", [0, 6, 25])
+def test_identity_checks_work_at_the_order_their_residuals_need(order):
+    # every call reaches the order its verdicts claim, and its least reliable
+    # residual is at most 8 orders beyond it (with the fixed pads of 3d4696d,
+    # 8 to 16 orders beyond it)
+    assert all(order <= least <= order + 8 for least in _least_residual_orders(order))
+
+
 class TestGammaIteration:
     def test_identity(self):
         closed = _gamma(0, Fraction(1, 3), 20)
@@ -365,16 +386,23 @@ class TestQSeries:
         prod = kernel.qbar_asym(a, 40) * kernel.q_asym(a, 40)
         assert prod.same(TSeries.t_power(3, prod.order))
 
-    @pytest.mark.parametrize("a", kernel.SAMPLE_ARGS)
+    @pytest.mark.parametrize("a", kernel.SAMPLE_ARGS + (Fraction(-1, 2), Fraction(-5, 4),
+                                                         Fraction(3), Fraction(7, 3)))
     @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
     def test_q_relation(self, kind, a):
+        # the reference derivation: z = 1/beta_1(a) solves t a^2 z^2 - P a z + t L = 0
+        # and Q = alpha + gamma z, so A = 2 alpha + P gamma / (t a) and
+        # C = alpha (A - alpha) + L (gamma / a)^2
+        for order in (0, 1, 2, 5, 30):
+            w = order + 4
+            t, s = kernel.tvar(w), kernel.as_series(a, w)
+            alpha, gamma = kernel._q_form(kind, s, t)
+            p, l = kernel._slot(kind, "beta", s, t)
+            ref_a = 2 * alpha + p * gamma / (t * s)
+            ref_c = alpha * (ref_a - alpha) + l * (gamma / s) ** 2
+            big_a, c = kernel.q_relation(kind, a, order)
+            assert (big_a, c) == (ref_a.truncate(order), ref_c.truncate(order)), order
         q = (kernel.q_sym if kind == "symmetric" else kernel.q_asym)(a, 30)
-        big_a, c = kernel.q_relation(kind, a, 30)
-        if kind == "symmetric":
-            want = (tpoly({-1: 1 / a**2, 1: -1 / a**2 - 2}, 30), TSeries.t_power(2, 30))
-        else:
-            want = (tpoly({0: 1 / a, 1: -1, 2: -1 / a, 3: -1}, 30), TSeries.t_power(4, 30))
-        assert (big_a, c) == want
         residual = q * q - big_a * q + c
         assert residual.is_zero() and residual.order >= 29
 

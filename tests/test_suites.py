@@ -32,7 +32,7 @@ def test_closedform_suite_clean():
 
 
 @pytest.mark.parametrize("name", ["kernel", "funceq", "closedform", "interpretations"])
-@pytest.mark.parametrize("order", [0, 1, 5, 30])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6, 7, 12, 30])
 def test_no_verdict_claims_more_than_its_residuals_know(monkeypatch, name, order):
     # a residual reliable only through t^k cannot back a verdict on t^order, k < order
     short = []
@@ -47,6 +47,25 @@ def test_no_verdict_claims_more_than_its_residuals_know(monkeypatch, name, order
     summary = suites.summarize(suites.run_suite(name, order=order))
     assert short == []
     assert summary["clean"]
+
+
+def test_short_residual_is_an_internal_error(monkeypatch):
+    # a verdict on t^order cannot rest on a residual known only to t^(order-1)
+    original = kernel.mixed_inverse_check
+
+    def short(a, b, order):
+        first, second = original(a, b, order)
+        return first.truncate(order - 1), second
+
+    monkeypatch.setattr(kernel, "mixed_inverse_check", short)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--suite", "kernel", "--order", "6"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "error: OrderUnderflowError: alpha_1(beta_-1(a)) = a and beta_1(alpha_-1(b)) = b:"
+        " a residual is reliable to t^5, below the order 6\n")
 
 
 def test_growth_suite_clean():
