@@ -260,15 +260,25 @@ def gf_bargraph(p: int, order: int) -> tuple[TSeries, TSeries, TSeries]:
 def theta_sum(kind: str, arg, order: int) -> TSeries:
     """The theta-like sums by family: 'sym' uses the alternating sum over
     Q(arg) of the symmetric model, 'asym_q'/'asym_p' the ratio sum over the
-    asymmetric Q or P."""
+    asymmetric Q or P.
+
+    Each working order is the least that keeps the sum exact to ``order``.
+    The alternating sum is exact one order past Q, as every term but the
+    first multiplies a power of Q by t or more; the ratio sum divides Q or
+    P by t and loses one order.  Below that, each argument must be known to
+    its leading term, or its valuation is not seen: t^3 for the symmetric
+    Q, t^4 for the asymmetric Q and t^3 for P.  So 'sym' works at
+    max(order - 1, 3), 'asym_q' at max(order + 1, 4) and 'asym_p' at
+    max(order + 1, 3).
+    """
     if kind == "sym":
-        w = order + 4
+        w = max(order - 1, 3)
         return alternating_theta(kernel.q_sym(arg, w), kernel.q_relation("symmetric", arg, w),
                                  order)
     if kind == "asym_q":
-        return ratio_theta(kernel.q_asym(arg, order + 4), order)
+        return ratio_theta(kernel.q_asym(arg, max(order + 1, 4)), order)
     if kind == "asym_p":
-        return ratio_theta(kernel.p_asym(arg, order + 4), order)
+        return ratio_theta(kernel.p_asym(arg, max(order + 1, 3)), order)
     raise ValueError(f"unknown theta kind {kind!r}")
 
 

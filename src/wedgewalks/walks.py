@@ -15,8 +15,8 @@ Seven vertex domains are supported:
 
 Two independent counters are provided: a dynamic program, and an exhaustive
 depth-first generator used as an oracle for small lengths.  They share no
-transition code: the band, the height column and the mirror floor below live
-in the DP only, and the oracle walks the raw domain.
+transition code: the band, the floor column and the free pair below live in
+the DP only, and the oracle walks the raw domain.
 
 The dynamic program keeps integer lists split by the arriving step (east or
 start, north, south).  The two wedges index a cell by column X, height Y and
@@ -28,30 +28,36 @@ once from column X - 1 alone: the east arrivals are the old column's
 totals, the north arrivals a running sum up the column and the south
 arrivals a shifted running sum down it.  Both wedges are built over
 0 <= Y <= p*X only, with a wall floor Y = 0 (asymmetric wedge) or a mirror
-floor (symmetric wedge, see below).  The state budget alone is defined on
-the whole domain -w*X <= Y <= p*X, with w = p for the symmetric wedge and
+floor (symmetric wedge, see ``_column``).  The state budget alone is defined
+on the whole domain -w*X <= Y <= p*X, with w = p for the symmetric wedge and
 w = 0 for the asymmetric one (``_frontier_size``).
 
 ``weighted_gf`` needs every endpoint, so it keeps at each height the cells
 whose east step ends at most its order long, fewer the higher the row
-(the ``sizes`` of ``_column``).  ``count_walks`` needs only the totals, so
-it keeps a band of each column: the cells that can still reach Y = p*X in
-the steps left to n_max, which is d < near(X) at every height (``_band``).
-A cell that leaves the band is stored by length as an inflow to one column
-indexed by its height Y, where it steps as a ``halfplane`` walk (asymmetric
-wedge) or a ``free`` walk (symmetric wedge) from then on.  The band's totals by length
-come from the top and floor of each column, with no pass over its cells.
+(the ``sizes`` of ``_column``).  ``count_walks`` needs only the totals,
+and it holds each walk in one of three places, by which line can still
+constrain it:
 
-The five line models, and that height column, are one column indexed by the
-sheared height h = Y - ls*X, ls the slope of the lower line (0 when there is
-none), stepped over n by ``_line_step``: an east step adds -ls to h, a north
-or south step adds +1 or -1, and h ranges over [0, n].  ``free`` and the
-symmetric wedge are stored as their half Y >= 0: the reflection Y -> -Y
-swaps north and south arrivals, so at Y = 0 the north arrivals equal the
-south ones (the mirror floor), and the count is twice the stored walks less
-those on Y = 0; ``weighted_gf`` writes each stored endpoint of the symmetric
-wedge also as its mirror at -Y.  No step does per-state dictionary work, and
-the frontier size at any length is known before the first step.
+    the band      the cells of a wedge that can still reach Y = p*X in the
+                  steps left to n_max, d < near(X) at every height
+                  (``_band``); its totals by length come from the top and
+                  floor of each column, with no pass over its cells
+    the floor     one column indexed by the sheared height h = Y - ls*X,
+    column        ls the slope of the lower line (0 when there is none),
+                  stepped over n by ``_line_step``: an east step adds -ls
+                  to h, a north or south step adds +1 or -1.  It holds the
+                  five line models, and the asymmetric walks that left the
+                  band, at the heights the floor can still reach,
+                  h < n_max - n (h <= n_max - n for the three models
+                  counted on h = 0, which drop the walks above it)
+    the free pair the walks no line can reach any more, by whether their
+                  last step was east or vertical: ``free`` from the start,
+                  every symmetric walk that leaves the band (inside the
+                  band's own count), and the floor column's walks that
+                  pass its horizon
+
+No step does per-state dictionary work, and the frontier size at any
+length is known before the first step.
 """
 
 from __future__ import annotations
@@ -148,9 +154,11 @@ class CountTable:
 
 
 def _frontier_size(model: WedgeModel, n: int) -> int:
-    """Cells of the whole domain at length n (for ``free``, its half Y >= 0).
+    """Cells of a walk domain at length n, n + 1 for a line model.
 
     The domain only grows with n, so this bounds every frontier of the DP.
+    It is the budget's contract on the domain, not a measure of what the DP
+    holds: ``free`` is held as two numbers and still counts n + 1 cells.
     """
     if model.kind not in ("symmetric", "asymmetric"):
         return n + 1
@@ -178,8 +186,9 @@ def _column(east: list, sizes: list, mirror: bool) -> tuple[list, list]:
 
     a running sum up the column and a shifted one down it.  Y = 0 gets no
     north arrivals without ``mirror`` (a wall floor, the asymmetric wedge)
-    and its own south arrivals with it (the mirror floor of the symmetric
-    wedge, see ``count_walks``).  Above the last east row every walk arrived
+    and its own south arrivals with it: the mirror floor of the symmetric
+    wedge, stored as its half Y >= 0, where the reflection Y -> -Y swaps
+    north and south arrivals.  Above the last east row every walk arrived
     by north steps, so those heights share one list, which may hold more
     cells than they keep.
 
@@ -211,29 +220,37 @@ def _band(p: int, n_max: int, mirror: bool) -> tuple[list, list, list]:
 
     Column X keeps d <= near(X) - 1, near(X) = ceil((n_max - (p+1)*X)/2),
     at every height 0 <= Y <= p*X; each of its walks has length at most
-    n_max - 1.  A walk that steps out of it, east from column X - 1 with
-    d >= near(X) or south from d = near(X) - 1, is stored per length as an
-    inflow of the line column at its height Y.
+    n_max - 1.  A walk steps out of it east from column X - 1 with
+    d >= near(X), or south from d = near(X) - 1.  If it is still below the
+    horizon of the asymmetric wedge's floor, Y < n_max - n at its length n,
+    it is stored per length as an inflow of the floor column at its height
+    Y; otherwise no line can reach it again, and it stays in B below as a
+    free walk.
 
     The band walks of each length come from the columns' edges alone.  A
     walk of length n - 1 steps east, or on in its column: one way after a
     north or south step and two after an east step, unless the column's
-    top or floor blocks it or it leaves the band.  So, with E[n] the band's
-    east arrivals of length n, E[n] = B[n - 1] - (east outflow at n) and
+    top or floor blocks it or it leaves for the floor column.  So, with
+    E[n] the east arrivals of length n, E[n] = B[n - 1] - (east inflows at
+    n) and
 
-        B[n] = E[n] + E[n - 1] + B[n - 1] - (blocked at n - 1) - (south outflow at n).
+        B[n] = E[n] + E[n - 1] + B[n - 1] - (blocked at n - 1) - (south inflows at n).
 
-    A walk is blocked by the top Y = p*X after an east or north step, which
-    is every walk there, and by a wall floor after an east or south step,
-    which is every walk on Y = 0.  With ``mirror`` B counts the whole
-    symmetric band: each stored walk off Y = 0 has a mirror walk, the floor
-    blocks nothing, and the bottom Y = -p*X mirrors the top, so the blocked
-    walks, the south outflow and the east outflow off Y = 0 count twice.
+    A free walk is never blocked, so B steps it as the free pair of
+    ``count_walks`` steps its walks.  A walk is blocked by the top Y = p*X
+    after an east or north step, which is every walk there, and by a wall
+    floor after an east or south step, which is every walk on Y = 0.  With
+    ``mirror`` B counts the whole symmetric wedge: each stored walk off
+    Y = 0 has a mirror walk, the floor blocks nothing, the bottom Y = -p*X
+    mirrors the top, so the blocked walks count twice, and every walk that
+    leaves the band is free.
 
     Returns B over the lengths 0..n_max, and the east and south inflows of
-    each length, each a flat list Y, walks, Y, walks, ...
+    each length, each a flat list Y, walks, Y, walks, ... (none with
+    ``mirror``).
     """
     q, twice = p + 1, 2 if mirror else 1
+    reach = 0 if mirror else n_max  # an inflow at Y, length n is stored if Y + n < reach
     blocked = [0] * (n_max + 1)  # at n: the walks of length n - 1 blocked
     out_e, out_s = [0] * (n_max + 1), [0] * (n_max + 1)
     east_in = [[] for _ in range(n_max + 1)]
@@ -244,9 +261,9 @@ def _band(p: int, n_max: int, mirror: bool) -> tuple[list, list, list]:
         for y, row in enumerate(east):
             n = x + y + 2 * max(size, 0)
             for c in row[max(size, 0):]:
-                if c:
+                if c and y + n < reach:
                     east_in[n] += y, c
-                    out_e[n] += c if y == 0 else twice * c
+                    out_e[n] += c
                 n += 2
         if size <= 0:
             break
@@ -254,7 +271,7 @@ def _band(p: int, n_max: int, mirror: bool) -> tuple[list, list, list]:
         tot, out = _column(east, [size] * (top + 1), mirror)
         n = x + 2 * size
         for y, c in enumerate(out):
-            if c:
+            if c and y + n < reach:
                 south_in[n] += y, c
                 out_s[n] += c
             n += 1
@@ -265,19 +282,19 @@ def _band(p: int, n_max: int, mirror: bool) -> tuple[list, list, list]:
     walks, e_prev, b = [], 0, 0
     for n in range(n_max + 1):
         e = (b if n else 1) - out_e[n]
-        b += e + e_prev - twice * (blocked[n] + out_s[n])
+        b += e + e_prev - twice * blocked[n] - out_s[n]
         walks.append(b)
         e_prev = e
     return walks, east_in, south_in
 
 
 def _line_step(line: tuple, shift: int) -> tuple[tuple, list]:
-    """Extend every walk of a one-column model by one step, to length n.
+    """Extend every walk of the floor column by one step.
 
-    ``line`` is (e, u, d) over the heights h = 0..n - 1.  An east step adds
+    ``line`` is (e, u, d) over the heights h = 0..m - 1.  An east step adds
     ``shift`` (0 or -1) to h, a north step 1 and a south step -1; a step to
-    h < 0 is dropped.  Returns the new lists, over h = 0..n, and the walks
-    of length n - 1 at each old height.
+    h < 0 is dropped.  Returns the new lists, over h = 0..m, and the walks
+    before the step at each old height.
     """
     e, u, d = line
     eu = list(map(add, e, u))
@@ -294,26 +311,28 @@ def count_walks(model: WedgeModel, n_max: int) -> CountTable:
     over-budget request is refused before any step; it bounds what the DP
     below holds.
 
-    The two wedges keep only a band near the line Y = p*X.  The line still
+    Every walk is held in one of three places.  The free pair (fe, fv)
+    counts the walks that no line can constrain any more, by whether their
+    last step was east (or none) or vertical: one step takes it to
+    (fe + fv, 2*fe + fv).  ``free`` is that pair from n = 0.
+
+    The two wedges keep a band near the line Y = p*X.  The line still
     constrains a walk at index d only if the walk could step over it within
     the N - n steps left (N = n_max), that is p*X - Y + 1 <= N - n, or
     d < near(X) = ceil((N - (p+1)*X)/2), a bound that depends on neither n
     nor Y; so column X keeps d <= near(X) - 1 at every height 0 <= Y <= p*X,
     and ``_band`` builds the band column by column, each at all of its
-    lengths (``_column``).
+    lengths (``_column``).  A walk that leaves the band where no line can
+    reach it again, which is every walk that leaves the symmetric band,
+    stays in the band's own count, and that count steps it as a free walk.
 
-    A walk that can no longer reach Y = p*X never feels that line again.
-    The walks that leave the band, by an east step from column X - 1 or a
-    south step from d = near(X) - 1, are kept by length as inflows to one
-    line column indexed by Y, which steps over n as the ``halfplane`` model
-    for the asymmetric wedge, whose floor Y = 0 is a wall, and as the
-    ``free`` model for the symmetric wedge, which can no longer reach
-    Y = -p*X either (``_line_step``).  The symmetric wedge and ``free`` are
-    stored as their half Y >= 0 with a mirror floor: the reflection
-    Y -> -Y swaps north and south arrivals, so the north arrivals at a Y = 0
-    cell equal its south arrivals, and the line's count is
-    2*(all stored walks) - (those on Y = 0); the band's count is of the
-    whole symmetric band already.
+    The other walks that leave the asymmetric band, and the line models,
+    step in the floor column, indexed by the sheared height h
+    (``_line_step``).  A walk at h after n steps can reach h = -1 within
+    the N - n steps left only if h < N - n, its horizon: the column keeps
+    those heights, and the walks above it join the free pair.  The three
+    models counted on h = 0 keep h <= N - n, the walks that can still end
+    there, and never read the free pair.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -323,52 +342,39 @@ def count_walks(model: WedgeModel, n_max: int) -> CountTable:
     if states > _MAX_STATES:
         raise BudgetError(f"n_max={n_max} needs {states} states, "
                           f"over the budget of {_MAX_STATES}")
-    pinned = model.kind in ("quarter_endline", "boundary_flat", "boundary_diag")
-    mirrored = model.kind in ("free", "symmetric")
-    shift = -1 if model.kind == "boundary_diag" else 0
-
-    def pinned_count(line) -> int:
-        # walks ending at h = 0
+    kind = model.kind
+    pinned = kind in ("quarter_endline", "boundary_flat", "boundary_diag")
+    floor = kind not in ("free", "symmetric")
+    shift = -1 if kind == "boundary_diag" else 0
+    band, east_in, south_in = [0] * (n_max + 1), [()] * (n_max + 1), [()] * (n_max + 1)
+    fe = fv = 0
+    if kind in ("symmetric", "asymmetric"):
+        band, east_in, south_in = _band(model.p, n_max, kind == "symmetric")
+    elif kind == "free":
+        fe = 1
+    else:
+        east_in[0] = (0, 1)  # the empty walk starts the floor column
+    line = ([0], [0], [0]) if floor else ([], [], [])
+    counts = []
+    for n in range(n_max + 1):
+        if n:
+            line, cells = _line_step(line, shift) if floor else (line, ())
+            if not pinned:  # the walks of length n - 1
+                counts.append(band[n - 1] + fe + fv + sum(cells))
+            fe, fv = fe + fv, 2 * fe + fv
         e, u, d = line
-        if model.kind == "quarter_endline":
-            return e[0] + u[0] + d[0]
-        return e[0]
-
-    wedge = model.kind in ("symmetric", "asymmetric")
-    band, line = [0] * (n_max + 1), ([1], [0], [0])
-
-    def pour(n):
-        # the walks that leave the band at length n enter the line column
-        e, _u, d = line
-        for inflow, cells in ((east_in[n], e), (south_in[n], d)):
+        for inflow, arrivals in ((east_in[n], e), (south_in[n], d)):
             pairs = iter(inflow)
             for y, c in zip(pairs, pairs):
-                cells[y] += c
-
-    if wedge:
-        band, east_in, south_in = _band(model.p, n_max, mirrored)
-        line = ([0], [0], [0])
-        pour(0)
-    on_floor = line[0][0]  # line walks on Y = 0 at the current length (mirrored models)
-    counts = []
-    for n in range(1, n_max + 1):
-        if pinned:
-            counts.append(pinned_count(line))
-        line, line_cells = _line_step(line, shift)
-        if not pinned:  # the walks of length n - 1
-            total = sum(line_cells)
-            counts.append(band[n - 1] + (2 * total - on_floor if mirrored else total))
-        if wedge:
-            pour(n)
-        if mirrored:
-            e, u, d = line
-            u[0] = d[0]
-            on_floor = e[0] + 2 * d[0]
-    if pinned:
-        counts.append(pinned_count(line))
-    else:
-        total = sum(map(sum, line))
-        counts.append(band[n_max] + (2 * total - on_floor if mirrored else total))
+                arrivals[y] += c
+        top = n_max - n + pinned  # the heights the floor, or h = 0 when pinned, can reach
+        fe += sum(e[top:])
+        fv += sum(u[top:]) + sum(d[top:])
+        del e[top:], u[top:], d[top:]
+        if pinned:  # the walks on h = 0, of every last step or after an east step
+            counts.append(e[0] + u[0] + d[0] if kind == "quarter_endline" else e[0])
+    if not pinned:  # the floor column is empty at n_max
+        counts.append(band[n_max] + fe + fv)
     return CountTable(model, counts)
 
 

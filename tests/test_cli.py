@@ -484,6 +484,10 @@ PINNED = {
     "count --model asymmetric --p 3 --n 102 --format json": "9cb3894d3bfd8408",
     "series --kind H_aya_raw --a 2/3 --order 18 --format json": "f286ef64ba0777cd",
     "series --kind theta_asym_p --a 1/2 --order 18 --format json": "3add8cf5d6a7dda2",
+    "count --model free --n 5000 --format json": "8c18ef79b3fdcb6d",
+    "count --model halfplane --n 1000 --format json": "7ec5253450786f12",
+    "count --model quarter_endline --n 1000 --format json": "11b6f98d124153b5",
+    "count --model boundary_diag --n 1000 --format json": "2a567666d8f8af99",
 }
 
 

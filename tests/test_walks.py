@@ -1,6 +1,7 @@
 """Enumeration: DP against the exhaustive oracle, frozen counts, invariants."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -172,18 +173,55 @@ class TestCounts:
         def no_step(*_args):
             raise AssertionError("the DP started")
 
-        # a wedge builds band columns and steps the line column: the guard
-        # below is empty unless patching either one stops a small DP
-        for step in ("_column", "_line_step"):
+        # the symmetric wedge builds band columns, and the asymmetric wedge
+        # also steps the floor column: the guard below is empty unless
+        # patching each one stops a small DP that runs it
+        for step, kind in (("_column", "symmetric"), ("_line_step", "asymmetric")):
             with monkeypatch.context() as patch:
                 patch.setattr(walks, step, no_step)
                 with pytest.raises(AssertionError, match="the DP started"):
-                    count_walks(WedgeModel("symmetric", 1), 3)
+                    count_walks(WedgeModel(kind, 1), 3)
             monkeypatch.setattr(walks, step, no_step)
         with pytest.raises(BudgetError, match="states"):
             count_walks(WedgeModel("symmetric", 1), 4800)
         with pytest.raises(BudgetError, match="states"):
             count_walks(WedgeModel("symmetric", 2), 4000)
+
+    def test_no_height_column_where_no_line_can_reach(self, monkeypatch):
+        # walks that no line constrains are two numbers, not a column by height
+        def no_step(*_args):
+            raise AssertionError("a height column was stepped")
+
+        monkeypatch.setattr(walks, "_line_step", no_step)
+        pell = [1, 3]  # c(n) = 2 c(n - 1) + c(n - 2), from (1 + t)/(1 - 2t - t^2)
+        while len(pell) < 5001:
+            pell.append(2 * pell[-1] + pell[-2])
+        assert count_walks(WedgeModel("free", 1), 5000).counts == pell
+        assert count_walks(WedgeModel("symmetric", 1), 200).counts == \
+            cf.gf_sym_g1(200).coeffs_upto(200)
+
+    def test_symmetric_memory_is_the_band_alone(self):
+        # holding the walks that left the band by height costs 1.95 MB here
+        tracemalloc.start()
+        try:
+            count_walks(WedgeModel("symmetric", 1), 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3e6
+
+    @pytest.mark.parametrize("kind,line,lost", [("symmetric", "free", 2),
+                                                ("asymmetric", "halfplane", 1)])
+    def test_wide_wedge_is_an_east_step_then_a_line_walk(self, kind, line, lost):
+        # after its first east step a walk at column X of length n <= p + 1
+        # has |Y| <= n - X <= p*X, so the wedge does not constrain it; at
+        # n = p + 2 it loses E N^(p+1), and the symmetric wedge E S^(p+1)
+        after = count_walks(WedgeModel(line, 1), 13).counts
+        for p in range(1, 13):
+            for n_max in (p + 2, 2 * p + 4):
+                counts = count_walks(WedgeModel(kind, p), n_max).counts
+                assert counts[1:p + 2] == after[:p + 1], (p, n_max)
+                assert counts[p + 2] == after[p + 1] - lost, (p, n_max)
 
     def test_oracle_spot_values(self):
         assert brute_force_oracle(WedgeModel("symmetric", 1), 3) == 5
