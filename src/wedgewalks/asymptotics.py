@@ -16,7 +16,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 
@@ -585,12 +584,6 @@ def _abs2_at(coeffs: dict[int, int], x) -> tuple[int, int]:
     return fr * fr + fi * fi, 2 * s * deg
 
 
-def _lift(v: float, bits: int) -> int:
-    """round(v 2^bits) exactly, at any bits: the scaled seed may pass the
-    float range (2^1024) once digits reach about 300."""
-    return round(Fraction(v) * (1 << bits))
-
-
 def _newton(lifted: list[int], bits: int, stop: int, x: int, y: int) -> tuple[int, int]:
     """Newton on the fixed-point root (x + iy)/2^bits of the polynomial with
     descending coefficients c = lifted / 2^bits, in Gaussian integers, until
@@ -634,7 +627,10 @@ def _poly_roots(coeffs: dict[int, int], digits: int):
         tol = mpmath.mpf(10) ** (-(digits + 5))
         polished = []
         for r in _aberth(desc):
-            x, y = _newton(lifted, bits, stop, _lift(r.real, bits), _lift(r.imag, bits))
+            # within the digit budget 2^bits <= 2^701 is a float, so each
+            # seed scales exactly
+            x, y = _newton(lifted, bits, stop, round(r.real * (1 << bits)),
+                           round(r.imag * (1 << bits)))
             z = mpmath.mpc(mpmath.chop(mpmath.mpc(mpmath.mpf((x, -bits)),
                                                   mpmath.mpf((y, -bits))), tol))
             num, shift = _abs2_at(coeffs, z)
@@ -658,6 +654,7 @@ def root_audit(k_max: int = 20, digits: int = 30) -> RootAudit:
     printed to ``_ROOT_DIGITS`` digits, must have as many inside, and each
     must pass the exact residual bound of :func:`_poly_roots`.
     """
+    _check_digits(digits)
     if k_max > 30:
         raise BudgetError("k_max beyond 30 exceeds the audit budget")
     audit = RootAudit((-1, k_max), digits)

@@ -10,6 +10,16 @@ formula.
 The symmetric radical sqrt((1 - t^2)(1 - 5t^2)) is built once, in
 ``printed_q_sym``.  ``gf_sym_f1``, ``gf_sym_g1`` and ``gf_h1_pieces`` take
 the printed Q in its place, as R = 1 - 3t^2 - 2tQ; the values are the same.
+
+Working orders follow the rule of ``kernel``: a builder asked for a series
+to ``order`` works at order + the orders its formula loses, and no higher.
+A division by a series of valuation v loses v orders, or 2v when the
+quotient is Laurent (``TSeries.div``), and a shift by -k loses k.  Each
+docstring says where its margin comes from.  Two margins are measured, not
+derived: ``gf_H_aya_raw`` and ``gf_h1_pieces`` take the least under which
+every output stayed byte-identical, that of the command-line tool and the
+summands that ``gf_h1_pieces`` yields.  The margins only size the work: a
+margin too small makes a result short, never wrong.
 """
 
 from __future__ import annotations
@@ -39,18 +49,18 @@ def printed_q_sym(order: int) -> TSeries:
     """(1 - 3t^2 - sqrt((1-t^2)(1-5t^2))) / (2t).
 
     The only build of the symmetric radical R: the builders that need it
-    read it from Q as R = 1 - 3t^2 - 2tQ.
+    read it from Q as R = 1 - 3t^2 - 2tQ.  The division by 2t loses one
+    order, so the working order is order + 1.
     """
-    w = order + 4
+    w = order + 1
     radical = (tpoly({0: 1, 2: -1}, w) * tpoly({0: 1, 2: -5}, w)).sqrt()
-    return ((tpoly({0: 1, 2: -3}, w) - radical) / (2 * tvar(w))).truncate(order)
+    return (tpoly({0: 1, 2: -3}, w) - radical) / (2 * tvar(w))
 
 
 def printed_q_asym(order: int) -> TSeries:
-    """(1 - t - t^2 - t^3 - sqrt((1-t^4)(1-2t-t^2))) / 2."""
-    w = order + 4
-    return ((tpoly({0: 1, 1: -1, 2: -1, 3: -1}, w) - _asym_radical(w))
-            * Fraction(1, 2)).truncate(order)
+    """(1 - t - t^2 - t^3 - sqrt((1-t^4)(1-2t-t^2))) / 2, which loses no
+    order."""
+    return (tpoly({0: 1, 1: -1, 2: -1, 3: -1}, order) - _asym_radical(order)) * Fraction(1, 2)
 
 
 def alternating_theta(q: TSeries, relation: tuple[TSeries, TSeries],
@@ -125,33 +135,39 @@ def ratio_theta(q: TSeries, order: int) -> TSeries:
 
 
 def gf_free(order: int) -> TSeries:
-    return (tpoly({0: 1, 1: 1}, order) / _pell(order)).truncate(order)
+    return tpoly({0: 1, 1: 1}, order) / _pell(order)
 
 
 def gf_dyck(order: int) -> TSeries:
-    w = order + 2
+    """(1 - sqrt(1 - 4t)) / (2t); the division by 2t loses one order."""
+    w = order + 1
     num = 1 - tpoly({0: 1, 1: -4}, w).sqrt()
-    return (num / (2 * tvar(w))).truncate(order)
+    return num / (2 * tvar(w))
 
 
 def gf_sym_f1(order: int) -> TSeries:
-    """Horizontal-ending walks in the symmetric unit wedge."""
-    w = order + 6
-    q = printed_q_sym(w)
-    s = alternating_theta(q, kernel.q_relation("symmetric", 1, w), w)
+    """Horizontal-ending walks in the symmetric unit wedge.
+
+    Q enters shifted by t, so it is built to order - 1, or to its leading
+    term t^3 if that is higher; the alternating sum is exact one order past
+    Q, and nothing else loses an order.
+    """
+    q = printed_q_sym(max(order - 1, 3))
+    s = alternating_theta(q, kernel.q_relation("symmetric", 1, order), order)
     # (1 - t^2) - R = 2t (t + Q), R the radical of Q
-    res = (tpoly({0: 1, 1: -1}, w) - (q + tvar(w)).shift(1) * 2 * s) / _pell(w)
-    return res.truncate(order)
+    return (tpoly({0: 1, 1: -1}, order) - (q + tvar(q.order)).shift(1) * 2 * s) / _pell(order)
 
 
 def gf_sym_g1(order: int) -> TSeries:
-    """All walks in the symmetric unit wedge."""
-    w = order + 6
-    q = printed_q_sym(w)
-    s = alternating_theta(q, kernel.q_relation("symmetric", 1, w), w)
+    """All walks in the symmetric unit wedge.
+
+    Nothing here loses an order, so Q is built to ``order``, or to its
+    leading term t^3 if that is higher.
+    """
+    q = printed_q_sym(max(order, 3))
+    s = alternating_theta(q, kernel.q_relation("symmetric", 1, order), order)
     # ((1 - t^2) - R)/t = 2 (t + Q), R the radical of Q
-    res = (tpoly({0: 1, 1: 1}, w) - (q + tvar(w)) * 2 * s) / _pell(w)
-    return res.truncate(order)
+    return (tpoly({0: 1, 1: 1}, order) - (q + tvar(q.order)) * 2 * s) / _pell(order)
 
 
 def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSeries]]:
@@ -164,6 +180,13 @@ def gf_h1_pieces(order: int) -> tuple[TSeries, TSeries, TSeries, Iterator[TSerie
     computes only the product of each with the prefactor, when it is drawn.
     It stops after the last summand that starts within the ratio sum's
     order; every later summand is zero to ``order``.
+
+    The working order is order + 8, measured.  p1 + p2 + p3 alone stay
+    byte-identical down to order + 4 (at order + 3 the asymmetric Q is not
+    known to its leading term t^4 at order 0).  But the ratio sum's working
+    order sets how many summands ``middle`` yields, and below order + 8 it
+    yields fewer of the trailing ones, which are zero to ``order`` (at
+    order + 7, one fewer at orders 1, 13 and 29).
     """
     w = order + 8
     # P(1) has the printed closed form of the symmetric Q(1)
@@ -186,7 +209,7 @@ def gf_asym_h1(order: int) -> TSeries:
 
 def gf_asym_k1(order: int) -> TSeries:
     h = gf_asym_h1(order + 1)
-    return ((h - 1) / tvar(order + 1)).truncate(order)
+    return (h - 1) / tvar(order + 1)
 
 
 def gf_halfplane_printed(order: int) -> TSeries:
@@ -194,12 +217,14 @@ def gf_halfplane_printed(order: int) -> TSeries:
 
     The numerator does not vanish at t = 0, so this expansion is Laurent of
     valuation -2 and cannot match the walk counts; the comparator reports the
-    differences (see the discrepancy ledger).
+    differences (see the discrepancy ledger).  The division by a
+    denominator of valuation 2 loses 2 * 2 orders (``TSeries.div``), so the
+    working order is order + 4.
     """
-    w = order + 6
+    w = order + 4
     num = tpoly({0: -1, 1: 1, 2: 3, 3: 1}, w) - _asym_radical(w)
     den = tpoly({2: -2, 3: -4, 4: 2}, w)  # 2 t^2 (t^2 - 2t - 1)
-    return (num / den).truncate(order)
+    return num / den
 
 
 def _bargraph_newton(p: int, w: int) -> TSeries:
@@ -238,23 +263,21 @@ def gf_bargraph(p: int, order: int) -> tuple[TSeries, TSeries, TSeries]:
     """(h, g_p, residual) for bargraph paths above Y = p*X.
 
     h solves h = t^(p+1) (1+h)^p (1 + h/(1 - t^2 (1+h))); it is found by
-    Newton iteration (_bargraph_newton) at working order order + 2, and
-    g_p = h/(1 - t^2 (1+h)).  The returned residual h - rhs(h) is evaluated
-    afresh from that equation, so it checks the solver independently; it is
-    identically zero on success.
+    Newton iteration (_bargraph_newton) at ``order`` itself, since nothing
+    here loses an order, and g_p = h/(1 - t^2 (1+h)).  The returned residual
+    h - rhs(h) is evaluated afresh from that equation, so it checks the
+    solver independently; it is identically zero on success.
     """
     if p < 1:
         raise ValueError("bargraph slope p must be >= 1")
-    w = order + 2
 
     def rhs(h: TSeries) -> TSeries:
-        geom = 1 - (tvar(w) ** 2) * (1 + h)
-        return TSeries.t_power(p + 1, w) * (1 + h) ** p * (1 + h / geom)
+        geom = 1 - (tvar(order) ** 2) * (1 + h)
+        return TSeries.t_power(p + 1, order) * (1 + h) ** p * (1 + h / geom)
 
-    h = _bargraph_newton(p, w)
-    g = h / (1 - (tvar(w) ** 2) * (1 + h))
-    residual = h - rhs(h)
-    return h.truncate(order), g.truncate(order), residual.truncate(order)
+    h = _bargraph_newton(p, order)
+    g = h / (1 - (tvar(order) ** 2) * (1 + h))
+    return h, g, h - rhs(h)
 
 
 def theta_sum(kind: str, arg, order: int) -> TSeries:
@@ -304,8 +327,7 @@ def gf_H_aya_simplified(a, order: int) -> TSeries:
     a = Fraction(a)
     q = kernel.q_asym(a, w)
     pref = (tpoly({0: 1, 2: -1}, w) * q).shift(-4) / a
-    res = pref * ratio_theta(q, w)
-    return res.truncate(order)
+    return pref * ratio_theta(q, w)
 
 
 def gf_H_aya_raw(a, order: int) -> TSeries:
@@ -322,18 +344,19 @@ def gf_H_aya_raw(a, order: int) -> TSeries:
     lifts to the working order.  No factor is cancelled against another:
     n1/d1 stays beside the m = n factor d1/n1, as printed.
 
-    Term n is built to w - v, v = 2(n+1)^2 - 3 the valuation of its
-    prefactor, and divides by d1, of valuation 1; the last term has v up to
-    order + 4, so the working order is order + 5 (at order + 4, d1 is zero
-    to its order at orders 1, 11, 25 and 43).
+    Term n has valuation v + n, v = 2(n+1)^2 - 3 the valuation of its
+    prefactor, so the sum stops before the first term with v + n > order.
+    Term n is built to w - v and divides by d1, of valuation 1; the working
+    order is order + 3, measured (at order + 2 the sum comes back short of
+    ``order``).
     """
-    w = order + 5
+    w = order + 3
     a = Fraction(a)
     beta_w = kernel.root("asymmetric", "beta-", a, w)
     acc = TSeries.zero(w)
     prod = None  # the product over m = 0..n, carried forward
     n = 0
-    while 2 * (n + 1) ** 2 - 3 <= order + 4:
+    while 2 * (n + 1) ** 2 - 3 + n <= order:
         v = 2 * (n + 1) ** 2 - 3
         pref = TSeries.t_power(v, w, Fraction(-1) / a)
         # the factors after pref count only to order w - v

@@ -623,24 +623,22 @@ def raw_iterated_sum(a: Arg, order: int) -> TSeries:
     """H(a, t*a) assembled directly from the raw coefficient ladder.
 
     Sums B_n * prod(C_m, m < n) with the B/C taken from the raw quotients of
-    (X, Y, Z) at the composed roots; term n has valuation >= 2n^2 so the sum
-    truncates by valuation.
+    (X, Y, Z) at the composed roots.  Term n has valuation >= 2n^2, so the
+    sum stops before the first n with 2n^2 > order; term n reads chain
+    elements 2n .. 2n + 2.
 
-    The working order is order + 4, the least that kept every output
-    byte-identical: at order + 3, order 0 reads gamma_2 (valuation 4) from a
-    chain known to t^3, a zero series, and divides by it.
+    The working order is order + 2, measured: at order + 1, order 0 reads
+    gamma_1 (valuation 2) from a chain known to t^1, a zero series, and
+    divides by it.
     """
-    w = order + 4
+    w = order + 2
     acc = TSeries.zero(w)
     prod = TSeries.constant(1, w)
     chain = Chain("asymmetric", a, w)
     for n in count():
         g_n, bg, g_n1 = chain[2 * n], chain[2 * n + 1], chain[2 * n + 2]
         x_n, y_n, z_n, a_n = _raw_quotients(g_n, bg, g_n1, w)
-        term = prod * (x_n + y_n * z_n)
-        acc = acc + term
-        val = term.valuation
-        if (val is not None and val > order and n > 0) or 2 * (n + 1) ** 2 > order + 4:
-            break
+        acc = acc + prod * (x_n + y_n * z_n)
+        if 2 * (n + 1) ** 2 > order:
+            return acc.truncate(order)
         prod = prod * (y_n * a_n)
-    return acc.truncate(order)

@@ -75,9 +75,9 @@ def _count_series(counts: list[int], order: int) -> TSeries:
     return tpoly(dict(enumerate(counts[: order + 1])), order)
 
 
-def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str | None]]:
-    """(identity, lhs, rhs, ledger id or None) for the boundary-specialized
-    solutions at rational a.
+def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, int, str | None]]:
+    """(identity, lhs, rhs, order compared, ledger id or None) for the
+    boundary-specialized solutions at rational a.
 
     (i)   the symmetric alternating-sum form of F(a, t*a) against the
           enumeration series;
@@ -85,6 +85,9 @@ def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str 
     (iii) the raw coefficient-ladder sum against the simplified form, and
           the printed term-by-term expression against the simplified form
           (the latter disagrees as printed; reported, ledgered).
+
+    The enumeration comparisons are made to order at most 40, the other two
+    to order at most 24.
     """
     a = Fraction(a)
     dp_order = min(order, 40)
@@ -92,18 +95,19 @@ def solution_identities(a, order: int) -> list[tuple[str, TSeries, TSeries, str 
     simplified = cf.gf_H_aya_simplified(a, dp_order)
     return [
         ("F(a,ta) alternating sum vs enumeration", cf.gf_F_aya(a, dp_order),
-         weighted_gf("symmetric", 1, dp_order).series_lower(a), None),
+         weighted_gf("symmetric", 1, dp_order).series_lower(a), dp_order, None),
         ("H(a,ta) simplified sum vs enumeration", simplified,
-         weighted_gf("asymmetric", 1, dp_order).series_lower(a), None),
+         weighted_gf("asymmetric", 1, dp_order).series_lower(a), dp_order, None),
         ("H(a,ta) raw coefficient ladder vs simplified",
-         kernel.raw_iterated_sum(a, short), simplified.truncate(short), None),
+         kernel.raw_iterated_sum(a, short), simplified.truncate(short), short, None),
         ("H(a,ta) printed term-by-term expression vs simplified",
-         cf.gf_H_aya_raw(a, short), simplified.truncate(short), "term-by-term-solution"),
+         cf.gf_H_aya_raw(a, short), simplified.truncate(short), short,
+         "term-by-term-solution"),
     ]
 
 
-def interpretation_identities(order: int = 20) -> list[tuple[str, TSeries, TSeries, str]]:
-    """(identity, lhs, rhs, ledger id) comparing Q and P against
+def interpretation_identities(order: int = 20) -> list[tuple[str, TSeries, TSeries, int, str]]:
+    """(identity, lhs, rhs, order compared, ledger id) comparing Q and P against
     single-boundary walk series, and the printed half-plane closed form
     against enumeration.
 
@@ -117,11 +121,11 @@ def interpretation_identities(order: int = 20) -> list[tuple[str, TSeries, TSeri
     half = count_walks(WedgeModel("halfplane", 1), order)
     return [
         ("Q_asym(1) vs t^3 (B_flat - 1)", kernel.q_asym(1, order),
-         t3 * (_count_series(flat.counts, order) - 1), "flat-boundary-interpretation"),
+         t3 * (_count_series(flat.counts, order) - 1), order, "flat-boundary-interpretation"),
         ("P(1) vs t^3 (B_diag - 1)", kernel.p_asym(1, order),
-         t3 * (_count_series(diag.counts, order) - 1), "diag-boundary-interpretation"),
-        ("half-plane printed closed form vs enumeration",
-         cf.gf_halfplane_printed(order), _count_series(half.counts, order), "halfplane-gf"),
+         t3 * (_count_series(diag.counts, order) - 1), order, "diag-boundary-interpretation"),
+        ("half-plane printed closed form vs enumeration", cf.gf_halfplane_printed(order),
+         _count_series(half.counts, order), order, "halfplane-gf"),
     ]
 
 
@@ -282,31 +286,27 @@ def suite_closedform(order: int = 100) -> list[Verdict]:
                         cf.theta_sum("sym", 1, 7)
                         - tpoly({0: 1, 4: -1, 6: -3}, 7)))
 
-    a, o = Fraction(1), min(order, 30)
-    for identity, lhs, rhs, ledger in solution_identities(a, o):
-        # the two H(a,ta)-vs-simplified checks are built at a shorter order
-        residual = lhs - rhs
-        out.append(_verdict("closedform", identity, min(o, residual.order), residual,
-                            ledger=ledger, a=a))
+    a = Fraction(1)
+    for identity, lhs, rhs, o, ledger in solution_identities(a, min(order, 30)):
+        out.append(_verdict("closedform", identity, o, lhs - rhs, ledger=ledger, a=a))
     return out
 
 
 def suite_interpretations(order: int = 20) -> list[Verdict]:
-    return [_verdict("interpretations", identity, order, lhs - rhs, ledger=ledger)
-            for identity, lhs, rhs, ledger in interpretation_identities(order)]
+    return [_verdict("interpretations", identity, o, lhs - rhs, ledger=ledger)
+            for identity, lhs, rhs, o, ledger in interpretation_identities(order)]
 
 
 def ledger_evidence(entry_id: str) -> list[str]:
     """For each identity that names ledger entry ``entry_id``: its first
     mismatch, and both sides' coefficients to order 12 from t^0, or from the
     residual's valuation if that is lower."""
-    o = 12
     lines = []
-    for identity, lhs, rhs, ledger in solution_identities(1, o) + interpretation_identities(o):
+    identities = solution_identities(1, 12) + interpretation_identities(12)
+    for identity, lhs, rhs, hi, ledger in identities:
         if ledger != entry_id:
             continue
         residual = lhs - rhs
-        hi = min(o, residual.order)
         lo = min(0, residual.valuation)
         lines.append(f"  {identity}: first mismatch at t^{_first_bad(hi, residual)}")
         for side, s in (("lhs", lhs), ("rhs", rhs)):

@@ -246,13 +246,15 @@ class TestRootAudit:
         assert cli.main(argv) == cli.EXIT_VERIFY_FAIL
         assert "root polish left residual" in capsys.readouterr().err
 
-    def test_seeds_lift_past_the_float_range(self):
-        # from about 300 digits the fixed-point scale 2^B passes 2^1024, the
-        # float range; the seeds are lifted exactly all the same
-        assert mpmath.libmp.dps_to_prec(asy._polish_places(300)) > 1024
-        assert asy._lift(-1.5, 1100) == -3 << 1099
-        assert asy._lift(0.1, 1100) == round(Fraction(0.1) * 2 ** 1100)
-        assert asy.root_audit(3, 300).results == asy.root_audit(3, 40).results
+    def test_digits_past_the_budget(self, capsys):
+        # within the 200-digit budget the fixed-point scale 2^B stays a float
+        assert mpmath.libmp.dps_to_prec(asy._polish_places(200)) < 1024
+        with pytest.raises(BudgetError):
+            asy.root_audit(3, 201)
+        argv = ["asympt", "--const", "roots", "--kmax", "3", "--digits", "201"]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("digits", [1, 5, 8, 10, 16])
     def test_few_digits_still_print_known_digits(self, digits):

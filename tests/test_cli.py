@@ -488,6 +488,13 @@ PINNED = {
     "count --model halfplane --n 1000 --format json": "7ec5253450786f12",
     "count --model quarter_endline --n 1000 --format json": "11b6f98d124153b5",
     "count --model boundary_diag --n 1000 --format json": "2a567666d8f8af99",
+    "series --kind H_aya_raw --a 1/2 --order 25 --format json": "9b033b437b6db6b4",
+    "series --kind H_aya_raw --a 1/2 --order 1 --format json": "8d0daaee3b7cfaf6",
+    "series --kind bargraph --p 3 --order 40 --format json": "e0bcf324981f3e60",
+    "series --kind dyck --order 300 --format json": "6fcd7c5f64a4485d",
+    "series --kind halfplane --order 300 --format json": "0510e0da829e5966",
+    "series --kind asym_k1 --order 70 --format json": "1e0603ec8311dcc5",
+    "asympt --const roots --kmax 2 --digits 200": "797d7fa1fd7ebea5",
 }
 
 

@@ -350,6 +350,16 @@ class TestWorkBounds:
         cf.alternating_theta(q, relation, order)
         assert len(long_products) == 1
 
+    @pytest.mark.parametrize("order", [1, 11, 25, 43])
+    def test_H_aya_raw_builds_no_dead_term(self, monkeypatch, order):
+        # term n, of valuation 2(n+1)^2 - 3 + n, builds its two geometric
+        # sums with tpoly; no term past the order is built
+        calls = []
+        monkeypatch.setattr(cf, "tpoly", lambda *args: calls.append(1) or tpoly(*args))
+        cf.gf_H_aya_raw(Fraction(1, 2), order)
+        live = sum(1 for n in range(order + 1) if 2 * (n + 1) ** 2 - 3 + n <= order)
+        assert len(calls) == 2 * live
+
     def test_bargraph_multiplications(self, monkeypatch):
         # Newton doubling takes 70 products here; Picard iteration, one
         # full-order pass per new coefficient pair, took 614
@@ -429,7 +439,7 @@ class TestSolutionIdentities:
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2)])
     def test_boundary_specializations(self, a):
         by_name = {name.split(" vs ")[0]: (lhs - rhs, ledger)
-                   for name, lhs, rhs, ledger in suites.solution_identities(a, 25)}
+                   for name, lhs, rhs, _order, ledger in suites.solution_identities(a, 25)}
         for name in ("F(a,ta) alternating sum", "H(a,ta) simplified sum",
                      "H(a,ta) raw coefficient ladder"):
             residual, ledger = by_name[name]
@@ -452,12 +462,12 @@ class TestSolutionIdentities:
 
 class TestInterpretations:
     def test_flat_boundary_diffs(self):
-        _name, lhs, rhs, _ledger = suites.interpretation_identities(12)[0]
+        _name, lhs, rhs, _order, _ledger = suites.interpretation_identities(12)[0]
         assert (lhs - rhs).valuation == 6
         assert (lhs.coeff(6), rhs.coeff(6)) == (2, 1)
 
     def test_diag_boundary_diffs(self):
-        _name, lhs, rhs, _ledger = suites.interpretation_identities(12)[1]
+        _name, lhs, rhs, _order, _ledger = suites.interpretation_identities(12)[1]
         assert (lhs - rhs).valuation == 3  # valuations differ: 3 vs 5
 
     def test_composed_normalization_closer_but_still_off(self, tables):
@@ -472,7 +482,7 @@ class TestInterpretations:
 
     def test_reports_never_assert(self):
         identities = suites.interpretation_identities(14)
-        assert all(ledger for _name, lhs, rhs, ledger in identities
+        assert all(ledger for _name, lhs, rhs, _order, ledger in identities
                    if not (lhs - rhs).is_zero())
         verdicts = suites.run_suite("interpretations", order=14)
         assert all(v.status != "fail" for v in verdicts)

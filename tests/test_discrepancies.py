@@ -84,7 +84,7 @@ def test_unknown_ledger_id_raises():
 
 def test_every_entry_is_named_or_identity_free():
     identities = suites.solution_identities(1, 12) + suites.interpretation_identities(12)
-    named = {ledger for _identity, _lhs, _rhs, ledger in identities if ledger}
+    named = {ledger for _identity, _lhs, _rhs, _order, ledger in identities if ledger}
     assert not named & set(IDENTITY_FREE)
     assert sorted(named | set(IDENTITY_FREE)) == sorted(d.id for d in discrepancies.LEDGER)
     assert sorted(named) == sorted(FIRST_MISMATCH)

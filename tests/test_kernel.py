@@ -352,6 +352,21 @@ def test_identity_checks_work_at_the_order_their_residuals_need(order):
     assert all(order <= least <= order + 8 for least in _least_residual_orders(order))
 
 
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2)], ids=["a=1", "a=1/2"])
+def test_raw_iterated_sum_reads_no_dead_chain_element(monkeypatch, a):
+    # term n reads chain elements 2n .. 2n + 2, and every term past the last
+    # n with 2n^2 <= order starts beyond the order
+    read = []
+    getitem = kernel.Chain.__getitem__
+    monkeypatch.setattr(kernel.Chain, "__getitem__",
+                        lambda chain, k: read.append(k) or getitem(chain, k))
+    for order in range(31):
+        read.clear()
+        kernel.raw_iterated_sum(a, order)
+        last = max(n for n in range(order + 1) if 2 * n * n <= order)
+        assert max(read) == 2 * last + 2, order
+
+
 class TestGammaIteration:
     def test_identity(self):
         closed = _gamma(0, Fraction(1, 3), 20)

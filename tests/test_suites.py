@@ -68,6 +68,22 @@ def test_short_residual_is_an_internal_error(monkeypatch):
         " a residual is reliable to t^5, below the order 6\n")
 
 
+def test_short_solution_identity_is_an_internal_error(monkeypatch):
+    # a solution identity is compared to its own order, whatever its residual
+    # reaches: a ladder sum one order short cannot lower its verdict's order
+    original = kernel.raw_iterated_sum
+    monkeypatch.setattr(kernel, "raw_iterated_sum",
+                        lambda a, order: original(a, order).truncate(order - 1))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--suite", "closedform", "--order", "20"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "error: OrderUnderflowError: H(a,ta) raw coefficient ladder vs simplified:"
+        " a residual is reliable to t^19, below the order 20\n")
+
+
 def test_growth_suite_clean():
     summary = suites.summarize(suites.run_suite("growth"))
     assert summary["clean"]
